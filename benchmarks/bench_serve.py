@@ -10,7 +10,13 @@ Asserts the serving contracts from docs/SERVING.md:
   with a single worker process;
 - the sharded multi-worker router sustains at least **20,000
   assignments/sec** while each routed response stays byte-identical
-  to the exact in-process engine.
+  to the exact in-process engine;
+- on one keep-alive connection to a 2-worker router, sequential
+  ``/assign`` requests return at their service time: the median of
+  50 streamed single tuples and of 20 2000-row batches each stays
+  under **25 ms**.  A response written as two segments (headers, then
+  body) stalls ~40 ms per request on Nagle + delayed ACK; fresh
+  connections per request never show that, keep-alive clients do.
 
 Emits ``BENCH_serve.json`` (via :func:`repro.obs.runs.record_bench`)
 so ``repro obs check`` tracks serving regressions alongside the other
@@ -21,6 +27,7 @@ benchmarks.  Run with ``-s`` to see the timing tables::
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import threading
@@ -47,6 +54,10 @@ ROUTER_WORKERS = 2
 ROUTER_THREADS = 4
 ROUTER_REQUESTS = 40
 ROUTER_BATCH = 2000
+KEEPALIVE_STREAM_REQUESTS = 50
+KEEPALIVE_BULK_REQUESTS = 20
+KEEPALIVE_BULK_ROWS = 2000
+KEEPALIVE_P50_MS = 25.0
 
 
 def _stage_table(collector) -> str:
@@ -347,4 +358,125 @@ def test_warm_registry_vs_refit_and_throughput(benchmark, tmp_path):
         lambda: contextualize(tests, catalog, registry=registry, city="A"),
         rounds=3,
         iterations=1,
+    )
+
+
+def _keepalive_latencies_ms(
+    host: str, port: int, bodies: list[bytes]
+) -> tuple[list[float], list[dict]]:
+    """Send ``bodies`` back to back on one keep-alive connection."""
+    conn = http.client.HTTPConnection(host, port, timeout=60)
+    latencies: list[float] = []
+    outputs: list[dict] = []
+    try:
+        for body in bodies:
+            t0 = time.perf_counter()
+            conn.request(
+                "POST",
+                "/assign",
+                body=body,
+                headers={"Content-Type": "application/json"},
+            )
+            response = conn.getresponse()
+            payload = response.read()
+            latencies.append((time.perf_counter() - t0) * 1e3)
+            assert response.status == 200, payload[:200]
+            outputs.append(json.loads(payload))
+    finally:
+        conn.close()
+    return latencies, outputs
+
+
+def test_keepalive_assign_returns_at_service_time(tmp_path):
+    """Keep-alive /assign p50 < 25 ms for single tuples and 2000 rows."""
+    root = tmp_path / "models"
+    registry = ModelRegistry(root)
+    catalog = city_catalog("A")
+    tests = OoklaSimulator("A", seed=0).generate(KEEPALIVE_BULK_ROWS * 2)
+    contextualize(tests, catalog, registry=registry, city="A")
+    downs = np.asarray(tests["download_mbps"], dtype=float)
+    ups = np.asarray(tests["upload_mbps"], dtype=float)
+    finite = np.isfinite(downs) & np.isfinite(ups)
+    downs, ups = downs[finite], ups[finite]
+    assigner = TierAssigner(registry.load(registry.key_for("A", catalog))[0])
+    stream_bodies = [
+        json.dumps(
+            {
+                "downloads": [float(downs[i])],
+                "uploads": [float(ups[i])],
+                "stream": True,
+            }
+        ).encode("utf-8")
+        for i in range(KEEPALIVE_STREAM_REQUESTS)
+    ]
+    bulk_rows = [
+        np.arange(i, i + KEEPALIVE_BULK_ROWS) % downs.size
+        for i in range(KEEPALIVE_BULK_REQUESTS)
+    ]
+    bulk_bodies = [
+        json.dumps(
+            {"downloads": downs[rows].tolist(), "uploads": ups[rows].tolist()}
+        ).encode("utf-8")
+        for rows in bulk_rows
+    ]
+    router = build_router(
+        root, RouterConfig(port=0, n_workers=ROUTER_WORKERS, default_city="A")
+    )
+    thread = threading.Thread(target=router.serve_forever, daemon=True)
+    thread.start()
+    try:
+        host, port = router.server_address[:2]
+        # Load the model in the worker (and its batcher) off the clock.
+        _keepalive_latencies_ms(
+            host, port, stream_bodies[:1] + bulk_bodies[:1]
+        )
+        stream_ms, stream_out = _keepalive_latencies_ms(
+            host, port, stream_bodies
+        )
+        bulk_ms, bulk_out = _keepalive_latencies_ms(host, port, bulk_bodies)
+    finally:
+        router.shutdown()
+        router.server_close()
+        thread.join(timeout=30)
+    stream_p50 = float(np.median(stream_ms))
+    bulk_p50 = float(np.median(bulk_ms))
+    stream_exact = assigner.assign(
+        downs[:KEEPALIVE_STREAM_REQUESTS], ups[:KEEPALIVE_STREAM_REQUESTS]
+    )
+    assert [out["tiers"][0] for out in stream_out] == (
+        stream_exact.tiers.tolist()
+    )
+    for rows, out in zip(bulk_rows, bulk_out):
+        exact = assigner.assign(downs[rows], ups[rows])
+        assert out["tiers"] == exact.tiers.tolist()
+
+    record_bench(
+        "serve_keepalive",
+        wall_s=(sum(stream_ms) + sum(bulk_ms)) / 1e3,
+        results={"stream_p50_ms": stream_p50, "bulk_p50_ms": bulk_p50},
+        params={
+            "router_workers": ROUTER_WORKERS,
+            "stream_requests": KEEPALIVE_STREAM_REQUESTS,
+            "bulk_requests": KEEPALIVE_BULK_REQUESTS,
+            "bulk_rows": KEEPALIVE_BULK_ROWS,
+        },
+        seed=0,
+    )
+    print()
+    print("-- keep-alive /assign through a 2-worker router --")
+    print(
+        f"stream single tuple: p50 {stream_p50:6.1f} ms "
+        f"max {max(stream_ms):6.1f} ms ({KEEPALIVE_STREAM_REQUESTS} requests)"
+    )
+    print(
+        f"{KEEPALIVE_BULK_ROWS}-row batch:      p50 {bulk_p50:6.1f} ms "
+        f"max {max(bulk_ms):6.1f} ms ({KEEPALIVE_BULK_REQUESTS} requests)"
+    )
+    assert stream_p50 < KEEPALIVE_P50_MS, (
+        f"keep-alive streamed /assign p50 {stream_p50:.1f} ms >= "
+        f"{KEEPALIVE_P50_MS} ms (delayed-ACK stall?)"
+    )
+    assert bulk_p50 < KEEPALIVE_P50_MS, (
+        f"keep-alive {KEEPALIVE_BULK_ROWS}-row /assign p50 {bulk_p50:.1f} ms "
+        f">= {KEEPALIVE_P50_MS} ms (delayed-ACK stall?)"
     )

@@ -22,11 +22,12 @@ measurements that arrive later, without refitting.  Two layers:
   GMM path on the training sample before the table may serve.
 - :class:`MicroBatcher` -- a bounded micro-batching queue for streaming
   input: concurrent single-tuple submissions coalesce into one
-  vectorised ``assign`` call per flush (configurable flush size and
-  interval); a full queue blocks producers (backpressure) instead of
-  growing without bound.  ``submit`` and ``close`` synchronise on one
-  lock, so a submission racing shutdown either resolves its future or
-  fails fast with :class:`BatcherClosedError` -- never a lost future.
+  vectorised ``assign`` call per flush (whatever is queued, up to a
+  configurable flush size; no timer); a full queue blocks producers
+  (backpressure) instead of growing without bound.  ``submit`` and
+  ``close`` synchronise on one lock, so a submission racing shutdown
+  either resolves its future or fails fast with
+  :class:`BatcherClosedError` -- never a lost future.
 
 Upload groups that had no download-stage fit (no training measurement
 landed in them) fall back to the log-nearest advertised download among
@@ -566,11 +567,13 @@ class MicroBatcher:
     """Bounded micro-batching queue in front of a :class:`TierAssigner`.
 
     Producers call :meth:`submit` (or the blocking :meth:`assign_one`);
-    a single worker thread drains the queue and flushes one vectorised
-    ``assign`` per batch -- when ``max_batch`` tuples are pending, or
-    ``flush_interval_s`` after the first pending tuple, whichever comes
-    first.  The queue holds at most ``max_pending`` tuples; a full queue
-    blocks ``submit`` (backpressure) rather than buffering unboundedly.
+    a single worker thread waits for the first queued tuple, takes
+    whatever else is already queued (up to ``max_batch``), and flushes
+    one vectorised ``assign`` at once.  Tuples that arrive during a
+    flush form the next batch, so batch size follows the load and no
+    tuple waits on a timer.  The queue holds at most ``max_pending``
+    tuples; a full queue blocks ``submit`` (backpressure) rather than
+    buffering unboundedly.
 
     Examples
     --------
@@ -592,7 +595,6 @@ class MicroBatcher:
         self,
         assigner: TierAssigner,
         max_batch: int = 256,
-        flush_interval_s: float = 0.005,
         max_pending: int = 4096,
     ):
         if max_batch < 1:
@@ -601,7 +603,6 @@ class MicroBatcher:
             raise ValueError("max_pending must be >= max_batch")
         self.assigner = assigner
         self.max_batch = int(max_batch)
-        self.flush_interval_s = float(flush_interval_s)
         self._queue: queue.Queue = queue.Queue(maxsize=int(max_pending))
         self._closed = threading.Event()
         # Serialises the closed-check-then-enqueue in submit() against
@@ -678,51 +679,25 @@ class MicroBatcher:
 
     # ------------------------------------------------------------------
     def _run(self) -> None:
-        pending: list[tuple[float, float, Future, str | None]] = []
-        deadline = 0.0
         stop = False
         while not stop:
-            if pending:
-                wait = max(deadline - time.monotonic(), 0.0)
-            else:
-                wait = None  # idle: block until work arrives
-            try:
-                item = self._queue.get(timeout=wait)
-            except queue.Empty:
-                item = None
-            if item is _SENTINEL:
-                stop = True
-                # Drain whatever was enqueued before the sentinel.
-                while True:
-                    try:
-                        extra = self._queue.get_nowait()
-                    except queue.Empty:
-                        break
-                    if extra is not _SENTINEL:
-                        pending.append(extra)
-            elif item is not None:
-                if not pending:
-                    deadline = time.monotonic() + self.flush_interval_s
-                pending.append(item)
-            flush_due = pending and (
-                len(pending) >= self.max_batch
-                or time.monotonic() >= deadline
-            )
-            if flush_due and not stop:
-                batch, pending = (
-                    pending[: self.max_batch],
-                    pending[self.max_batch:],
-                )
+            batch: list[tuple[float, float, Future, str | None]] = []
+            item = self._queue.get()  # idle: block until work arrives
+            while True:
+                if item is _SENTINEL:
+                    # close() marks the batcher closed under the submit
+                    # lock before enqueueing this, so nothing follows it.
+                    stop = True
+                    break
+                batch.append(item)
+                if len(batch) >= self.max_batch:
+                    break
+                try:
+                    item = self._queue.get_nowait()
+                except queue.Empty:
+                    break
+            if batch:
                 self._flush(batch)
-                if pending:
-                    deadline = time.monotonic()  # flush backlog promptly
-        # Closing: flush everything still pending, in batch-sized chunks.
-        while pending:
-            batch, pending = (
-                pending[: self.max_batch],
-                pending[self.max_batch:],
-            )
-            self._flush(batch)
 
     def _flush(
         self, batch: Sequence[tuple[float, float, Future, str | None]]

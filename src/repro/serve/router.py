@@ -19,16 +19,23 @@ contract as the single-process server:
   an empty body) so a drift-triggered refit hot-swaps every worker
   serving the affected model; see docs/STREAMING.md.
 
-A worker that dies (crash, OOM kill) is restarted on the next request
-that needs its shard — ``serve.router.worker_restarts`` counts these —
-and the failed forward is retried once against the fresh process.
-Workers are stopped with SIGTERM on ``server_close`` and shut down
-gracefully, so the router inherits the single server's drain-on-exit
-contract.
+Requests to a worker travel over pooled keep-alive connections (one
+idle pool per worker process, no size setting).  A pooled connection
+the worker has since closed is retried once on a fresh connection
+(``serve.router.stale_retries``).  A worker that fails a fresh
+connection -- it died: crash, OOM kill -- is restarted on the next
+request that needs its shard (``serve.router.worker_restarts`` counts
+these), and the failed forward is retried once against the fresh
+process; a forward that still fails, including a malformed or
+truncated worker response, answers 502.  ``server_close`` joins the
+router's handler threads, closes every idle worker connection, and
+then stops the workers with SIGTERM; they shut down gracefully, so the
+router inherits the single server's drain-on-exit contract.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import math
 import os
@@ -38,10 +45,8 @@ import subprocess
 import sys
 import threading
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 from pathlib import Path
 from typing import Any
 
@@ -52,6 +57,7 @@ from repro.obs.metrics import (
     render_prometheus,
 )
 from repro.obs.trace import new_trace_id
+from repro.serve.handler import JsonHandler
 from repro.serve.registry import (
     ModelKey,
     ModelRecord,
@@ -69,6 +75,10 @@ __all__ = [
 ]
 
 _SERVING_RE = re.compile(r"serving on http://([^\s:]+):(\d+)")
+
+# What a request to a worker can raise: socket errors (refused, reset,
+# timed out) and malformed or truncated HTTP responses.
+_WORKER_ERRORS = (OSError, http.client.HTTPException)
 
 
 def _escape_label(value: str) -> str:
@@ -99,13 +109,21 @@ class RouterConfig:
 
 
 class WorkerHandle:
-    """One supervised worker subprocess and its base URL.
+    """One supervised worker subprocess, its base URL, and its pool.
 
     ``start`` spawns ``python -m repro.serve.worker`` with this
     handle's shard assignment, parses the ``serving on ...`` line for
     the ephemeral port, and keeps draining the child's stdout on a
     daemon thread.  ``restart`` is start-over-again: used by the router
     when a forward finds the process dead.
+
+    The handle also pools idle keep-alive ``HTTPConnection``s to the
+    running process: :meth:`connection` hands out an idle one or opens
+    a new one, :meth:`release` takes back a connection whose response
+    was read completely.  The pool belongs to one process: ``start``,
+    ``restart`` and ``stop`` close every idle connection, and a
+    connection to an earlier port is closed on release instead of
+    pooled, so no request reaches a dead worker's socket twice.
     """
 
     def __init__(
@@ -121,6 +139,11 @@ class WorkerHandle:
         self.base_url = ""
         self.restarts = 0
         self._lock = threading.Lock()
+        # Idle connections to the process at _pool_address.  Order:
+        # _lock may be held while taking _pool_lock, never the reverse.
+        self._pool_lock = threading.Lock()
+        self._idle: list[http.client.HTTPConnection] = []
+        self._pool_address: tuple[str, int] | None = None
 
     @property
     def alive(self) -> bool:
@@ -171,7 +194,9 @@ class WorkerHandle:
                 env=env,
                 text=True,
             )
-            self.base_url = self._await_bind(self.proc)
+            host, port = self._await_bind(self.proc)
+            self.base_url = f"http://{host}:{port}"
+            self._reset_pool((host, port))
             pid, url = self.proc.pid, self.base_url
         log.info(
             "worker started", extra=kv(shard=self.shard, pid=pid, url=url)
@@ -185,13 +210,20 @@ class WorkerHandle:
             if self.proc is not None:
                 self.proc.wait()
                 self.proc = None
+            self._reset_pool(None)  # the dead worker's sockets
             self.restarts += 1
         self.start()
 
     def stop(self, timeout_s: float = 15.0) -> None:
-        """SIGTERM the worker and wait for its graceful exit."""
+        """Close idle connections, SIGTERM the worker, await its exit.
+
+        The worker's shutdown joins its handler threads, and a thread
+        serving one of our keep-alive connections waits for the next
+        request until its socket times out -- so the pool closes first.
+        """
         with self._lock:
             proc, self.proc = self.proc, None
+            self._reset_pool(None)
         if proc is None or proc.poll() is not None:
             return
         proc.send_signal(signal.SIGTERM)
@@ -205,8 +237,52 @@ class WorkerHandle:
             proc.kill()
             proc.wait()
 
+    # -- connection pool -------------------------------------------------
+    def connection(
+        self, reuse: bool = True
+    ) -> tuple[http.client.HTTPConnection, bool]:
+        """``(conn, reused)``: an idle pooled connection, else a new one.
+
+        ``reuse=False`` always opens a new connection.  Raises
+        ``ConnectionRefusedError`` while no process is running.
+        """
+        with self._pool_lock:
+            if reuse and self._idle:
+                return self._idle.pop(), True
+            address = self._pool_address
+        if address is None:
+            raise ConnectionRefusedError(
+                f"worker shard {self.shard} is not running"
+            )
+        host, port = address
+        conn = http.client.HTTPConnection(
+            host, port, timeout=self.config.request_timeout_s
+        )
+        return conn, False
+
+    def release(self, conn: http.client.HTTPConnection) -> None:
+        """Pool a connection whose response body was read completely."""
+        with self._pool_lock:
+            if (conn.host, conn.port) == self._pool_address:
+                self._idle.append(conn)
+                return
+        conn.close()  # made for an earlier process
+
+    def close_idle(self) -> None:
+        """Close every idle pooled connection."""
+        with self._pool_lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
+
+    def _reset_pool(self, address: tuple[str, int] | None) -> None:
+        """Point the pool at a new process (None: none running)."""
+        with self._pool_lock:
+            self._pool_address = address
+        self.close_idle()
+
     # ------------------------------------------------------------------
-    def _await_bind(self, proc: subprocess.Popen) -> str:
+    def _await_bind(self, proc: subprocess.Popen) -> tuple[str, int]:
         """Read stdout until the worker names its port; then drain it."""
         deadline = time.monotonic() + self.config.start_timeout_s
         assert proc.stdout is not None
@@ -229,7 +305,7 @@ class WorkerHandle:
                 threading.Thread(
                     target=self._drain, args=(proc.stdout,), daemon=True
                 ).start()
-                return f"http://{match.group(1)}:{match.group(2)}"
+                return match.group(1), int(match.group(2))
 
     @staticmethod
     def _drain(stream) -> None:
@@ -286,7 +362,8 @@ class _RouterService:
     ) -> tuple[int, bytes]:
         """POST the raw body to the owning shard; returns (status, body).
 
-        A dead worker is restarted and the request retried once on the
+        When the forward fails on a fresh connection the worker is
+        restarted (if it died) and the request retried once on the
         fresh process; 4xx/5xx worker responses relay as-is (they carry
         the worker's structured error JSON and the shared trace id).
         """
@@ -294,49 +371,60 @@ class _RouterService:
             record.key.city, record.key.isp, self.config.n_workers
         )
         handle = self.workers[shard]
-        for attempt in (0, 1):
-            try:
-                status, payload = self._post(handle, body, trace_id)
-                self.metrics.counter("serve.router.forwarded").inc()
-                return status, payload
-            except (urllib.error.URLError, ConnectionError, OSError) as exc:
-                if attempt == 1:
-                    raise
-                log.warning(
-                    "worker unreachable; restarting shard",
-                    extra=kv(
-                        shard=shard, error=str(exc), trace_id=trace_id
-                    ),
-                )
-                self.metrics.counter("serve.router.worker_restarts").inc()
-                self.metrics.counter("serve.router.retries").inc()
-                handle.restart()
-        raise AssertionError("unreachable")  # pragma: no cover
+        try:
+            status, payload = self._request(
+                handle, "POST", "/assign", body, trace_id
+            )
+        except _WORKER_ERRORS as exc:
+            log.warning(
+                "worker unreachable; restarting shard",
+                extra=kv(shard=shard, error=str(exc), trace_id=trace_id),
+            )
+            self.metrics.counter("serve.router.worker_restarts").inc()
+            self.metrics.counter("serve.router.retries").inc()
+            handle.restart()
+            status, payload = self._request(
+                handle, "POST", "/assign", body, trace_id
+            )
+        self.metrics.counter("serve.router.forwarded").inc()
+        return status, payload
 
-    def _post(
+    def _request(
         self,
         handle: WorkerHandle,
-        body: bytes,
-        trace_id: str,
-        path: str = "/assign",
+        method: str,
+        path: str,
+        body: bytes | None = None,
+        trace_id: str = "",
     ) -> tuple[int, bytes]:
-        request = urllib.request.Request(
-            f"{handle.base_url}{path}",
-            data=body,
-            headers={
-                "Content-Type": "application/json",
-                "X-Trace-Id": trace_id,
-            },
-            method="POST",
-        )
-        try:
-            with urllib.request.urlopen(
-                request, timeout=self.config.request_timeout_s
-            ) as response:
-                return response.status, response.read()
-        except urllib.error.HTTPError as exc:
-            # Structured worker error (400/404/503/...): relay verbatim.
-            return exc.code, exc.read()
+        """One request to a worker over a pooled keep-alive connection.
+
+        A reused connection may have been closed by the worker (its
+        socket timeout ends idle connections), so a failure there is
+        retried once on a fresh connection; a failure on a fresh
+        connection raises.  Returns ``(status, body)`` for any status.
+        """
+        headers = {"X-Trace-Id": trace_id} if trace_id else {}
+        if body is not None:
+            headers["Content-Type"] = "application/json"
+        conn, reused = handle.connection()
+        while True:
+            try:
+                conn.request(method, path, body=body, headers=headers)
+                response = conn.getresponse()
+                payload = response.read()
+            except _WORKER_ERRORS:
+                conn.close()
+                if not reused:
+                    raise
+                self.metrics.counter("serve.router.stale_retries").inc()
+                conn, reused = handle.connection(reuse=False)
+                continue
+            if response.will_close:
+                conn.close()
+            else:
+                handle.release(conn)
+            return response.status, payload
 
     def reload_models(
         self, slugs: list[str] | None = None, trace_id: str = ""
@@ -364,15 +452,15 @@ class _RouterService:
         for shard in shards:
             handle = self.workers[shard]
             try:
-                status, payload = self._post(
-                    handle, body, trace_id or new_trace_id(), path="/reload"
+                status, payload = self._request(
+                    handle, "POST", "/reload", body, trace_id or new_trace_id()
                 )
                 row: dict[str, Any] = {"shard": shard, "status": status}
                 if status == 200:
                     outcome = json.loads(payload)
                     row["reloaded"] = outcome.get("reloaded", [])
                     reloaded.extend(row["reloaded"])
-            except (urllib.error.URLError, ConnectionError, OSError) as exc:
+            except _WORKER_ERRORS as exc:
                 row = {"shard": shard, "error": str(exc)}
             worker_rows.append(row)
         self.metrics.counter("serve.router.reloads").inc()
@@ -387,11 +475,12 @@ class _RouterService:
 
     # -- aggregation -----------------------------------------------------
     def scrape_worker(self, handle: WorkerHandle, path: str) -> bytes:
-        request = urllib.request.Request(f"{handle.base_url}{path}")
-        with urllib.request.urlopen(
-            request, timeout=self.config.request_timeout_s
-        ) as response:
-            return response.read()
+        status, payload = self._request(handle, "GET", path)
+        if status != 200:
+            raise http.client.HTTPException(
+                f"worker shard {handle.shard} answered {status} for {path}"
+            )
+        return payload
 
     def health(self) -> dict[str, Any]:
         worker_rows = []
@@ -410,7 +499,7 @@ class _RouterService:
                 worker_health.append(
                     json.loads(self.scrape_worker(handle, "/healthz"))
                 )
-            except (urllib.error.URLError, OSError, ValueError) as exc:
+            except (*_WORKER_ERRORS, ValueError) as exc:
                 worker_health.append({"error": str(exc)})
         alive = sum(1 for row in worker_rows if row["alive"])
         self.metrics.gauge("serve.router.workers_alive").set(alive)
@@ -439,7 +528,7 @@ class _RouterService:
             try:
                 text = self.scrape_worker(handle, "/metrics").decode("utf-8")
                 families = parse_prometheus_text(text)
-            except (urllib.error.URLError, OSError, ValueError) as exc:
+            except (*_WORKER_ERRORS, ValueError) as exc:
                 log.warning(
                     "worker metrics scrape failed",
                     extra=kv(shard=handle.shard, error=str(exc)),
@@ -491,62 +580,25 @@ class _RouterService:
         )
 
     def close(self) -> None:
+        """Close every idle worker connection, then stop the workers."""
+        for handle in self.workers:
+            handle.close_idle()
         for handle in self.workers:
             handle.stop()
 
 
-class _RouterHandler(BaseHTTPRequestHandler):
+class _RouterHandler(JsonHandler):
     """HTTP routing for :class:`RouterServer`."""
 
-    protocol_version = "HTTP/1.1"
     server: "RouterServer"
 
-    def setup(self) -> None:
-        super().setup()
-        self.connection.settimeout(
-            self.server.router.config.request_timeout_s
-        )
+    def _config(self) -> RouterConfig:
+        return self.server.router.config
 
-    def log_message(self, format: str, *args: Any) -> None:
-        log.debug("http " + format % args)
-
-    # -- plumbing --------------------------------------------------------
-    def _send_body(
-        self, status: int, body: bytes, content_type: str
-    ) -> None:
-        self._status = status
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.send_header("X-Trace-Id", self._trace_id)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_json(self, status: int, payload: dict | list) -> None:
-        self._send_body(
-            status, json.dumps(payload).encode("utf-8"), "application/json"
-        )
-
-    def _error(self, status: int, message: str) -> None:
+    def _count_error(self) -> None:
         self.server.router.metrics.counter("serve.router.errors").inc()
-        self._send_json(
-            status,
-            {
-                "error": {
-                    "code": status,
-                    "message": message,
-                    "trace_id": self._trace_id,
-                }
-            },
-        )
 
     # -- routes ----------------------------------------------------------
-    def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
-        self._handle(self._route_get)
-
-    def do_POST(self) -> None:  # noqa: N802 (stdlib naming)
-        self._handle(self._route_post)
-
     def _handle(self, route) -> None:
         router = self.server.router
         router.metrics.counter("serve.router.requests").inc()
@@ -601,23 +653,10 @@ class _RouterHandler(BaseHTTPRequestHandler):
         if path != "/assign":
             self._error(404, f"unknown path {path!r}")
             return
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
-            self._error(400, "missing request body")
+        request = self._read_json(required=True)
+        if request is None:
             return
-        if length > router.config.max_body_bytes:
-            self._error(
-                413,
-                f"request body of {length} bytes exceeds the "
-                f"{router.config.max_body_bytes}-byte limit",
-            )
-            return
-        body = self.rfile.read(length)
-        try:
-            payload = json.loads(body)
-        except json.JSONDecodeError as exc:
-            self._error(400, f"invalid JSON body: {exc}")
-            return
+        body, payload = request
         if not isinstance(payload, dict):
             self._error(400, "request body must be a JSON object")
             return
@@ -630,7 +669,7 @@ class _RouterHandler(BaseHTTPRequestHandler):
             status, response = router.forward_assign(
                 body, record, self._trace_id
             )
-        except (urllib.error.URLError, ConnectionError, OSError) as exc:
+        except _WORKER_ERRORS as exc:
             self._error(502, f"worker unavailable: {exc}")
             return
         self._send_body(status, response, "application/json")
@@ -653,31 +692,9 @@ class _RouterHandler(BaseHTTPRequestHandler):
     def _route_reload(self) -> None:
         """``POST /reload``: fan the hot-swap out to the worker fleet."""
         router = self.server.router
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > router.config.max_body_bytes:
-            self._error(
-                413,
-                f"request body of {length} bytes exceeds the "
-                f"{router.config.max_body_bytes}-byte limit",
-            )
+        ok, slugs = self._reload_slugs()
+        if not ok:
             return
-        slugs = None
-        if length > 0:
-            try:
-                payload = json.loads(self.rfile.read(length))
-            except json.JSONDecodeError as exc:
-                self._error(400, f"invalid JSON body: {exc}")
-                return
-            if not isinstance(payload, dict):
-                self._error(400, "reload body must be a JSON object")
-                return
-            slugs = payload.get("slugs")
-            if slugs is not None and (
-                not isinstance(slugs, list)
-                or not all(isinstance(s, str) for s in slugs)
-            ):
-                self._error(400, "'slugs' must be a list of model slugs")
-                return
         try:
             response = router.reload_models(slugs, trace_id=self._trace_id)
         except ValueError as exc:
@@ -692,8 +709,9 @@ class RouterServer(ThreadingHTTPServer):
 
     Shares ``serve_until_shutdown``'s duck-typed contract with
     :class:`~repro.serve.server.ServeServer`: ``server_close`` joins
-    handler threads, then SIGTERMs every worker and waits for their
-    graceful exits.
+    handler threads, closes the idle worker connections (each one pins
+    a worker handler thread that the worker's own shutdown would wait
+    on), then SIGTERMs every worker and waits for their graceful exits.
     """
 
     daemon_threads = False

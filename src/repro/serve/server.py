@@ -54,7 +54,7 @@ import signal
 import threading
 import time
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 from typing import Any, Callable
 
 import numpy as np
@@ -76,6 +76,7 @@ from repro.serve.engine import (
     QuantizedLookup,
     TierAssigner,
 )
+from repro.serve.handler import JsonHandler
 from repro.serve.registry import (
     ModelKey,
     ModelRecord,
@@ -106,7 +107,6 @@ class ServeConfig:
     drift_rel_threshold: float = 0.5  # |obs - train| / train mean
     drift_min_samples: int = 200  # observations before drift applies
     micro_batch: int = 256
-    micro_flush_interval_s: float = 0.005
     micro_max_pending: int = 4096
     trace_sample_rate: float = 1.0  # fraction of requests spanned
     metrics_window_s: float = 60.0  # window rendered by GET /metrics
@@ -255,7 +255,6 @@ class AssignmentService:
                 loaded.batcher = MicroBatcher(
                     loaded.assigner,
                     max_batch=self.config.micro_batch,
-                    flush_interval_s=self.config.micro_flush_interval_s,
                     max_pending=self.config.micro_max_pending,
                 )
             return loaded.batcher
@@ -543,82 +542,22 @@ _ENDPOINT_SLUGS = {
 _TRACE_ID_RE = re.compile(r"^[0-9a-f]{16}$")
 
 
-class _Handler(BaseHTTPRequestHandler):
+class _Handler(JsonHandler):
     """Request routing for :class:`ServeServer`."""
 
-    protocol_version = "HTTP/1.1"
     server: "ServeServer"
 
-    # -- plumbing --------------------------------------------------------
-    def setup(self) -> None:
-        super().setup()
-        # Per-connection socket timeout: a stalled client cannot pin a
-        # handler thread (and block graceful shutdown) forever.
-        self.connection.settimeout(self.server.service.config.request_timeout_s)
+    def _config(self) -> ServeConfig:
+        return self.server.service.config
 
-    def log_message(self, format: str, *args: Any) -> None:
-        log.debug("http " + format % args)
-
-    def _send_body(
-        self,
-        status: int,
-        body: bytes,
-        content_type: str,
-        headers: dict[str, str] | None = None,
-    ) -> None:
-        self._status = status
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.send_header("X-Trace-Id", self._trace_id)
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_json(
-        self,
-        status: int,
-        payload: dict | list,
-        headers: dict[str, str] | None = None,
-    ) -> None:
-        self._send_body(
-            status,
-            json.dumps(payload).encode("utf-8"),
-            "application/json",
-            headers=headers,
-        )
-
-    def _error(
-        self,
-        status: int,
-        message: str,
-        headers: dict[str, str] | None = None,
-    ) -> None:
+    def _count_error(self) -> None:
         self.server.service.record_error()
-        self._send_json(
-            status,
-            {
-                "error": {
-                    "code": status,
-                    "message": message,
-                    "trace_id": self._trace_id,
-                }
-            },
-            headers=headers,
-        )
 
     def _endpoint(self) -> str:
         """Low-cardinality endpoint slug for per-endpoint instruments."""
         return _ENDPOINT_SLUGS.get(self.path.split("?", 1)[0], "other")
 
     # -- routes ----------------------------------------------------------
-    def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
-        self._handle(self._route_get)
-
-    def do_POST(self) -> None:  # noqa: N802 (stdlib naming)
-        self._handle(self._route_post)
-
     def _handle(self, route) -> None:
         service = self.server.service
         service.record_request()
@@ -697,24 +636,11 @@ class _Handler(BaseHTTPRequestHandler):
         if path != "/assign":
             self._error(404, f"unknown path {path!r}")
             return
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
-            self._error(400, "missing request body")
-            return
-        if length > service.config.max_body_bytes:
-            self._error(
-                413,
-                f"request body of {length} bytes exceeds the "
-                f"{service.config.max_body_bytes}-byte limit",
-            )
+        request = self._read_json(required=True)
+        if request is None:
             return
         try:
-            payload = json.loads(self.rfile.read(length))
-        except json.JSONDecodeError as exc:
-            self._error(400, f"invalid JSON body: {exc}")
-            return
-        try:
-            response = service.assign_payload(payload)
+            response = service.assign_payload(request[1])
         except ValueError as exc:
             self._error(400, str(exc))
             return
@@ -743,33 +669,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _route_reload(self) -> None:
         """``POST /reload``: hot-swap models (empty body reloads all)."""
-        service = self.server.service
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > service.config.max_body_bytes:
-            self._error(
-                413,
-                f"request body of {length} bytes exceeds the "
-                f"{service.config.max_body_bytes}-byte limit",
-            )
+        ok, slugs = self._reload_slugs()
+        if not ok:
             return
-        slugs = None
-        if length > 0:
-            try:
-                payload = json.loads(self.rfile.read(length))
-            except json.JSONDecodeError as exc:
-                self._error(400, f"invalid JSON body: {exc}")
-                return
-            if not isinstance(payload, dict):
-                self._error(400, "reload body must be a JSON object")
-                return
-            slugs = payload.get("slugs")
-            if slugs is not None and (
-                not isinstance(slugs, list)
-                or not all(isinstance(s, str) for s in slugs)
-            ):
-                self._error(400, "'slugs' must be a list of model slugs")
-                return
-        response = service.reload(slugs)
+        response = self.server.service.reload(slugs)
         response["trace_id"] = self._trace_id
         self._send_json(200, response)
 

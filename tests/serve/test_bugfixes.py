@@ -74,7 +74,7 @@ def test_close_race_loses_no_futures(fitted_a):
     lock = threading.Lock()
     stop = threading.Event()
 
-    batcher = MicroBatcher(assigner, max_batch=16, flush_interval_s=0.001)
+    batcher = MicroBatcher(assigner, max_batch=16)
 
     def producer() -> None:
         nonlocal rejected

@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.bst import BSTModel, DownloadStageFit
 from repro.core.config import BSTConfig
+from repro.obs import use_registry
 from repro.serve.engine import MicroBatcher, TierAssigner
 
 
@@ -141,16 +142,64 @@ def test_microbatch_concurrent_submitters(fitted_a, fresh_sample):
         assert group == expected.group_indices[i]
 
 
-def test_close_drains_pending_futures(fitted_a, fresh_sample):
+def test_close_drains_pending_futures(
+    fitted_a, fresh_sample, gated_assigner
+):
     downs, ups = fresh_sample
-    # A huge flush interval: nothing flushes until close() drains.
-    batcher = MicroBatcher(
-        TierAssigner(fitted_a), max_batch=1024, flush_interval_s=60.0
-    )
-    futures = [batcher.submit(downs[i], ups[i]) for i in range(20)]
-    batcher.close()
+    # Hold the flush worker inside its first flush so the other 19
+    # tuples queue behind it: close() must drain that backlog.
+    stub = gated_assigner(TierAssigner(fitted_a))
+    batcher = MicroBatcher(stub, max_batch=1024)
+    futures = [batcher.submit(downs[0], ups[0])]
+    assert stub.entered.wait(timeout=10)
+    futures += [batcher.submit(downs[i], ups[i]) for i in range(1, 20)]
+    closer = threading.Thread(target=batcher.close)
+    closer.start()
+    assert batcher._closed.wait(timeout=10)
+    stub.gate.set()
+    closer.join(timeout=30)
+    assert not closer.is_alive()
     assert all(fut.done() for fut in futures)
     assert all(isinstance(fut.result()[0], int) for fut in futures)
+    assert stub.batch_sizes == [1, 19]
+
+
+def test_lone_tuple_flushes_at_once(fitted_a, gated_assigner):
+    """A single tuple is flushed alone; no timer waits for company."""
+    stub = gated_assigner(TierAssigner(fitted_a))
+    stub.gate.set()
+    with use_registry() as metrics:
+        with MicroBatcher(stub, max_batch=64) as batcher:
+            out = batcher.assign_one(110.0, 5.5, timeout_s=10)
+    assert out == TierAssigner(fitted_a).assign_one(110.0, 5.5)
+    assert stub.batch_sizes == [1]
+    assert metrics.counter("serve.batch_flushes").value == 1
+    assert metrics.histogram("serve.batch_size").max == 1
+
+
+def test_tuples_queued_during_a_flush_form_the_next_batch(
+    fitted_a, fresh_sample, gated_assigner
+):
+    """Batch size follows the load: the backlog of one blocked flush
+    comes out in a single next flush."""
+    downs, ups = fresh_sample
+    stub = gated_assigner(TierAssigner(fitted_a))
+    expected = TierAssigner(fitted_a).assign(downs[:31], ups[:31])
+    with use_registry() as metrics:
+        with MicroBatcher(stub, max_batch=64) as batcher:
+            futures = [batcher.submit(downs[0], ups[0])]
+            assert stub.entered.wait(timeout=10)
+            futures += [
+                batcher.submit(downs[i], ups[i]) for i in range(1, 31)
+            ]
+            stub.gate.set()
+            results = [fut.result(timeout=10) for fut in futures]
+    assert stub.batch_sizes == [1, 30]
+    assert metrics.counter("serve.batch_flushes").value == 2
+    sizes = metrics.histogram("serve.batch_size")
+    assert (sizes.count, sizes.min, sizes.max) == (2, 1, 30)
+    assert [tier for tier, _ in results] == expected.tiers.tolist()
+    assert [g for _, g in results] == expected.group_indices.tolist()
 
 
 def test_submit_after_close_raises(fitted_a):
@@ -162,9 +211,7 @@ def test_submit_after_close_raises(fitted_a):
 
 
 def test_bad_tuple_propagates_exception(fitted_a):
-    with MicroBatcher(
-        TierAssigner(fitted_a), max_batch=1, flush_interval_s=0.001
-    ) as batcher:
+    with MicroBatcher(TierAssigner(fitted_a), max_batch=1) as batcher:
         fut = batcher.submit(float("nan"), 5.0)
         with pytest.raises(ValueError, match="finite"):
             fut.result(timeout=10)

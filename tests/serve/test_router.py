@@ -9,7 +9,11 @@ in the serving suite.
 
 from __future__ import annotations
 
+import http.client
+import json
+import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -20,15 +24,21 @@ from repro.obs.metrics import parse_prometheus_text
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.engine import TierAssigner
 from repro.serve.registry import ModelRegistry, shard_for
-from repro.serve.router import RouterConfig, build_router
+from repro.serve.router import (
+    RouterConfig,
+    RouterServer,
+    WorkerHandle,
+    _RouterService,
+    build_router,
+)
 from repro.vendors.ookla import OoklaSimulator
 
 N_WORKERS = 2
 
 
 @pytest.fixture(scope="module")
-def fleet(tmp_path_factory):
-    """(client, server, {city: (result, downloads, uploads)})."""
+def fleet_registry(tmp_path_factory):
+    """(registry root, {city: (result, downloads, uploads)})."""
     root = tmp_path_factory.mktemp("router-registry")
     registry = ModelRegistry(root)
     models = {}
@@ -45,6 +55,10 @@ def fleet(tmp_path_factory):
             uploads=ups,
         )
         models[city] = (result, downs, ups)
+    return root, models
+
+
+def _start_router(root):
     server = build_router(
         root,
         RouterConfig(port=0, n_workers=N_WORKERS, default_city="A"),
@@ -53,6 +67,14 @@ def fleet(tmp_path_factory):
     thread.start()
     host, port = server.server_address[:2]
     client = ServeClient(f"http://{host}:{port}", timeout_s=60.0)
+    return client, server, thread
+
+
+@pytest.fixture(scope="module")
+def fleet(fleet_registry):
+    """(client, server, {city: (result, downloads, uploads)})."""
+    root, models = fleet_registry
+    client, server, thread = _start_router(root)
     yield client, server, models
     server.shutdown()
     server.server_close()
@@ -176,3 +198,212 @@ def test_reload_fans_out_to_owning_shard(fleet, tmp_path):
         client.reload([slug])
     back = client.assign(downs[:50].tolist(), ups[:50].tolist(), city="A")
     assert back["tiers"] == old_expected.tiers.tolist()
+
+
+# ---------------------------------------------------------------------------
+# Pooled keep-alive connections to the workers
+# ---------------------------------------------------------------------------
+def _counter(server, name: str) -> float:
+    return server.router.metrics.counter(name).value
+
+
+def _shard_handle(server, city: str) -> WorkerHandle:
+    shard = shard_for(city, city_catalog(city).isp_name, N_WORKERS)
+    return server.router.workers[shard]
+
+
+def test_shutdown_with_warm_pooled_connections_is_prompt(fleet_registry):
+    """Idle pooled sockets pin worker handler threads; the router closes
+    them before SIGTERM, so both workers drain and exit 0 at once
+    instead of waiting out their socket timeouts."""
+    root, models = fleet_registry
+    client, server, thread = _start_router(root)
+    try:
+        for city, (_, downs, ups) in models.items():
+            for _ in range(3):
+                client.assign(downs[:5].tolist(), ups[:5].tolist(), city=city)
+        handles = server.router.workers
+        for handle in handles:
+            assert handle._idle, "no warm pooled connection"
+        procs = [handle.proc for handle in handles]
+    finally:
+        t0 = time.monotonic()
+        server.shutdown()
+        server.server_close()
+        elapsed = time.monotonic() - t0
+        thread.join(timeout=30)
+    assert [proc.returncode for proc in procs] == [0] * N_WORKERS
+    assert all(not handle._idle for handle in handles)
+    # A worker's socket timeout is 10 s; waiting on one idle pooled
+    # connection would take at least that long.
+    assert elapsed < 5.0, f"router shutdown took {elapsed:.1f}s"
+
+
+def test_worker_closed_pooled_socket_is_retried_without_restart(fleet):
+    client, server, models = fleet
+    result, downs, ups = models["A"]
+    client.assign(downs[:5].tolist(), ups[:5].tolist(), city="A")
+    handle = _shard_handle(server, "A")
+    pid, restarts = handle.pid, handle.restarts
+    worker_restarts = _counter(server, "serve.router.worker_restarts")
+    stale = _counter(server, "serve.router.stale_retries")
+    # Make the worker close a pooled connection: a request line it
+    # rejects is answered with Connection: close, then EOF.
+    conn, reused = handle.connection()
+    assert reused
+    conn.sock.sendall(b"BOGUS / HTTP/1.1\r\n\r\n")
+    while conn.sock.recv(65536):
+        pass
+    handle.release(conn)
+    out = client.assign(downs[:10].tolist(), ups[:10].tolist(), city="A")
+    exact = TierAssigner(result).assign(downs[:10], ups[:10])
+    assert out["tiers"] == exact.tiers.tolist()
+    assert _counter(server, "serve.router.stale_retries") == stale + 1
+    assert _counter(server, "serve.router.worker_restarts") == (
+        worker_restarts
+    )
+    assert (handle.pid, handle.restarts) == (pid, restarts)
+
+
+def test_restart_never_reuses_a_connection_to_the_old_port(fleet):
+    client, server, models = fleet
+    result, downs, ups = models["A"]
+    handle = _shard_handle(server, "A")
+    for _ in range(2):
+        client.assign(downs[:5].tolist(), ups[:5].tolist(), city="A")
+    old_port = int(handle.base_url.rsplit(":", 1)[1])
+    # One connection is checked out (in flight) across the restart,
+    # the others sit idle in the pool.
+    in_flight, _ = handle.connection()
+    idle_before = list(handle._idle)
+    worker_restarts = _counter(server, "serve.router.worker_restarts")
+    handle.proc.kill()
+    handle.proc.wait()
+    out = client.assign(downs[:10].tolist(), ups[:10].tolist(), city="A")
+    exact = TierAssigner(result).assign(downs[:10], ups[:10])
+    assert out["tiers"] == exact.tiers.tolist()
+    assert _counter(server, "serve.router.worker_restarts") == (
+        worker_restarts + 1
+    )
+    new_port = int(handle.base_url.rsplit(":", 1)[1])
+    assert new_port != old_port
+    assert all(conn.sock is None for conn in idle_before)  # closed
+    handle.release(in_flight)
+    assert in_flight.sock is None  # closed, not pooled
+    assert handle._idle
+    assert all(conn.port == new_port for conn in handle._idle)
+
+
+# ---------------------------------------------------------------------------
+# Malformed input and broken workers
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("length", ["abc", "1.5", "-3"])
+def test_non_integer_content_length_is_structured_400(
+    fleet, raw_post, length
+):
+    client, server, _ = fleet
+    status, body = raw_post(client.base_url, "/assign", length)
+    assert status == 400
+    assert "Content-Length" in body["error"]["message"]
+    assert body["error"]["trace_id"]
+
+
+def test_negative_content_length_on_reload_is_400(fleet, raw_post):
+    client, server, _ = fleet
+    reloads = _counter(server, "serve.router.reloads")
+    status, body = raw_post(client.base_url, "/reload", "-1")
+    assert status == 400
+    assert "Content-Length" in body["error"]["message"]
+    assert _counter(server, "serve.router.reloads") == reloads
+
+
+def test_each_response_is_one_write(fleet, response_writes):
+    """Headers and body leave in one write (no Nagle/delayed-ACK split)."""
+    client, server, models = fleet
+    _, downs, ups = models["A"]
+    host, port = server.server_address[:2]
+    body = json.dumps(
+        {"downloads": downs[:20].tolist(), "uploads": ups[:20].tolist()}
+    ).encode()
+    with response_writes(server) as writes:
+        conn = http.client.HTTPConnection(host, port, timeout=60)
+        try:
+            statuses = []
+            for method, path, payload in (
+                ("POST", "/assign", body),
+                ("GET", "/models", None),
+                ("GET", "/nope", None),
+            ):
+                conn.request(method, path, body=payload)
+                response = conn.getresponse()
+                response.read()
+                statuses.append(response.status)
+        finally:
+            conn.close()
+    assert statuses == [200, 200, 404]
+    assert len(writes) == 3
+
+
+_TRUNCATED = (
+    b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+    b"Content-Length: 500\r\n\r\n{\"tiers\": ["
+)
+
+
+@pytest.mark.parametrize(
+    "reply", [_TRUNCATED, b"garbage\r\n\r\n"], ids=["truncated", "bad-status"]
+)
+def test_malformed_worker_response_is_502(
+    tmp_path, fitted_a, catalog_a, reply
+):
+    """http.client.HTTPException from a forward maps to 502, not 500."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    stop = threading.Event()
+
+    def stub_worker() -> None:
+        listener.settimeout(0.2)
+        while not stop.is_set():
+            try:
+                sock, _ = listener.accept()
+            except socket.timeout:
+                continue
+            with sock:
+                sock.settimeout(10)
+                data = b""
+                while b"\r\n\r\n" not in data:
+                    chunk = sock.recv(65536)
+                    if not chunk:
+                        break
+                    data += chunk
+                sock.sendall(reply)
+
+    stub = threading.Thread(target=stub_worker, daemon=True)
+    stub.start()
+    registry = ModelRegistry(tmp_path / "models")
+    registry.register(registry.key_for("A", catalog_a), fitted_a)
+    config = RouterConfig(port=0, n_workers=1, default_city="A")
+    handle = WorkerHandle(0, tmp_path / "models", config)
+    handle._reset_pool(listener.getsockname()[:2])
+    restarts = []
+    handle.restart = lambda: restarts.append(1)  # no real process
+    router = _RouterService(registry, config, [handle])
+    server = RouterServer(("127.0.0.1", 0), router)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        host, port = server.server_address[:2]
+        client = ServeClient(f"http://{host}:{port}", timeout_s=30.0)
+        with pytest.raises(ServeError) as excinfo:
+            client.assign([110.0], [5.5])
+        assert excinfo.value.status == 502
+        assert "worker unavailable" in excinfo.value.message
+        assert excinfo.value.trace_id
+        assert restarts == [1]  # one restart-and-retry, then 502
+        assert router.metrics.counter("serve.router.errors").value == 1
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+        stop.set()
+        stub.join(timeout=10)
+        listener.close()

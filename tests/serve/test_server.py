@@ -6,6 +6,7 @@ drives the real CLI in a subprocess and checks SIGTERM drains cleanly.
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import re
@@ -137,6 +138,59 @@ def test_malformed_json_is_400(served):
     with pytest.raises(urllib.error.HTTPError) as err:
         urllib.request.urlopen(request, timeout=10)
     assert err.value.code == 400
+
+
+@pytest.mark.parametrize("length", ["abc", "1.5", "0x10", "1_0", "+4"])
+def test_non_integer_content_length_is_structured_400(
+    served, raw_post, length
+):
+    client, server = served
+    errors_5xx = server.service.metrics.counter("serve.errors_5xx").value
+    status, body = raw_post(client.base_url, "/assign", length)
+    assert status == 400
+    assert "Content-Length" in body["error"]["message"]
+    assert body["error"]["trace_id"]
+    assert server.service.metrics.counter("serve.errors_5xx").value == (
+        errors_5xx
+    )
+
+
+def test_negative_content_length_on_reload_is_400(served, raw_post):
+    client, server = served
+    reloads = server.service.metrics.counter("serve.reloads").value
+    status, body = raw_post(client.base_url, "/reload", "-1")
+    assert status == 400
+    assert "Content-Length" in body["error"]["message"]
+    # Nothing was reloaded: a negative length used to skip the body
+    # and hot-swap every model.
+    assert server.service.metrics.counter("serve.reloads").value == reloads
+    status, _ = raw_post(client.base_url, "/assign", "-5")
+    assert status == 400
+
+
+def test_each_response_is_one_write(served, response_writes):
+    """Headers and body leave in one write (no Nagle/delayed-ACK split)."""
+    client, server = served
+    host, port = server.server_address[:2]
+    body = json.dumps({"downloads": [110.0], "uploads": [5.5]}).encode()
+    with response_writes(server) as writes:
+        conn = http.client.HTTPConnection(host, port, timeout=30)
+        try:
+            statuses = []
+            for method, path, payload in (
+                ("POST", "/assign", body),
+                ("GET", "/healthz", None),
+                ("GET", "/nope", None),
+                ("POST", "/assign", b"{not json"),
+            ):
+                conn.request(method, path, body=payload)
+                response = conn.getresponse()
+                response.read()
+                statuses.append(response.status)
+        finally:
+            conn.close()
+    assert statuses == [200, 200, 404, 400]
+    assert len(writes) == 4
 
 
 def test_unknown_model_is_404(served):

@@ -134,8 +134,7 @@ class TestMicroBatcherStress:
         assigner = TierAssigner(fits[0])
         downs, ups = fresh_sample
         per_thread = 50
-        batcher = MicroBatcher(assigner, max_batch=32,
-                               flush_interval_s=0.002)
+        batcher = MicroBatcher(assigner, max_batch=32)
         try:
             def worker(tid: int):
                 futures = []
@@ -161,18 +160,28 @@ class TestMicroBatcherStress:
             assert (tier, group) == assigner.assign_one(downs[idx], ups[idx])
 
     def test_close_after_producers_finish_flushes_everything(
-        self, fits, fresh_sample
+        self, fits, fresh_sample, gated_assigner
     ):
         """close() drains the queue; pre-close submissions all resolve."""
         assigner = TierAssigner(fits[0])
         downs, ups = fresh_sample
-        batcher = MicroBatcher(assigner, max_batch=64,
-                               flush_interval_s=5.0)  # only close flushes
-        futures = [
+        # The flush worker is held in its first flush, so the other 39
+        # tuples are still queued when close() starts.
+        stub = gated_assigner(assigner)
+        batcher = MicroBatcher(stub, max_batch=64)
+        futures = [batcher.submit(downs[0], ups[0], timeout_s=JOIN_TIMEOUT_S)]
+        assert stub.entered.wait(timeout=JOIN_TIMEOUT_S)
+        futures += [
             batcher.submit(downs[i], ups[i], timeout_s=JOIN_TIMEOUT_S)
-            for i in range(40)
+            for i in range(1, 40)
         ]
-        batcher.close()
+        closer = threading.Thread(target=batcher.close)
+        closer.start()
+        assert batcher._closed.wait(timeout=JOIN_TIMEOUT_S)
+        stub.gate.set()
+        closer.join(timeout=JOIN_TIMEOUT_S)
+        assert not closer.is_alive()
+        assert stub.batch_sizes == [1, 39]
         for i, fut in enumerate(futures):
             tier, group = fut.result(timeout=JOIN_TIMEOUT_S)
             assert (tier, group) == assigner.assign_one(downs[i], ups[i])
