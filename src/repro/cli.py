@@ -257,11 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
              "N repro.serve.worker subprocesses (see docs/SERVING.md)",
     )
     serve.add_argument(
-        "--quantized", action="store_true",
-        help="serve via registered byte-identity-proven lookup tables "
-             "where available",
-    )
-    serve.add_argument(
         "--trace-sample", type=float, default=1.0, metavar="RATE",
         help="fraction of requests that get a serve.request span "
              "(trace ids are always issued)",
@@ -710,7 +705,6 @@ def _cmd_serve(args) -> int:
                 port=args.port,
                 n_workers=args.workers,
                 default_city=args.city,
-                worker_quantized=args.quantized,
                 worker_trace_sample=args.trace_sample,
             ),
         )
@@ -725,7 +719,6 @@ def _cmd_serve(args) -> int:
                 alert_rules_path=args.alert_rules,
                 alert_log=alert_log,
                 alert_interval_s=args.alert_interval,
-                quantized=args.quantized,
             ),
         )
     scheduler = None

@@ -13,13 +13,9 @@ measurements that arrive later, without refitting.  Two layers:
   stage runs as one grouped pass: a stable argsort segments the request
   matrix by upload group, each present group's predictor evaluates one
   contiguous slice, and a single inverse scatter restores request order
-  -- no per-group masking scans over the whole batch.
-- :class:`QuantizedLookup` -- an optional quantized nearest-plan lookup
-  table compiled from a frozen assigner: both BST stages are 1-D label
-  functions, so assignment reduces to two ``searchsorted`` threshold
-  lookups once the stage decision boundaries are bisected down to
-  adjacent float64s.  ``build`` proves byte-identity against the exact
-  GMM path on the training sample before the table may serve.
+  -- no per-group masking scans over the whole batch.  It is the
+  service's only assignment path: batch and streamed ``/assign``
+  requests alike end in :meth:`TierAssigner.assign`.
 - :class:`MicroBatcher` -- a bounded micro-batching queue for streaming
   input: concurrent single-tuple submissions coalesce into one
   vectorised ``assign`` call per flush (whatever is queued, up to a
@@ -60,7 +56,6 @@ __all__ = [
     "AssignmentBatch",
     "BatcherClosedError",
     "MicroBatcher",
-    "QuantizedLookup",
     "TierAssigner",
 ]
 
@@ -319,242 +314,6 @@ class TierAssigner:
         """Paper-style span labels for a batch's group indices."""
         labels = [g.tier_label for g in self.result.upload_stage.groups]
         return [labels[int(i)] for i in group_indices]
-
-
-# ---------------------------------------------------------------------------
-# Quantized nearest-plan lookup table
-# ---------------------------------------------------------------------------
-def _label_cuts(values, label_fn) -> tuple[np.ndarray, np.ndarray]:
-    """Threshold table ``(cuts, labels)`` reproducing ``label_fn``.
-
-    Both BST stages are 1-D label functions, so their decision
-    boundaries are points on the speed axis.  The table is built by
-    evaluating ``label_fn`` on the sorted unique sample, then bisecting
-    every label change down to *adjacent float64s* -- so the table flips
-    at exactly the float where the predictor does.  For any value
-    inside a scanned interval, ``labels[searchsorted(cuts, v, "right")]
-    == label_fn(v)``; outside the sample's hull, or inside a
-    non-monotonic pocket no sample point exposed, the caller must prove
-    equality empirically (see :meth:`QuantizedLookup.verify`).
-    """
-    points = np.unique(np.asarray(values, dtype=float))
-    if points.size == 0:
-        raise ValueError("cannot tabulate a predictor without samples")
-    labels = np.asarray(label_fn(points), dtype=np.int64)
-    change = np.flatnonzero(labels[:-1] != labels[1:])
-    lo = points[change].copy()
-    hi = points[change + 1].copy()
-    left = labels[change]
-    while True:
-        gap = np.nextafter(lo, hi) < hi
-        if not gap.any():
-            break
-        mid = lo + (hi - lo) * 0.5
-        mid = np.maximum(np.nextafter(lo, hi), np.minimum(mid, np.nextafter(hi, lo)))
-        same = np.asarray(label_fn(mid), dtype=np.int64) == left
-        lo = np.where(gap & same, mid, lo)
-        hi = np.where(gap & ~same, mid, hi)
-    region_labels = np.concatenate(
-        ([labels[0]], labels[change + 1])
-    ).astype(np.int64)
-    return hi.astype(float), region_labels
-
-
-class QuantizedLookup:
-    """Quantized nearest-plan lookup table over a frozen assigner.
-
-    Compiles a :class:`TierAssigner` into two layers of threshold
-    tables: upload value -> upload group, then (per group) download
-    value -> plan tier -- covering fitted GMM / k-means download stages
-    *and* the log-nearest-plan fallback alike.  Assignment is then two
-    ``searchsorted`` gathers: no log-pdf evaluation on the hot path.
-
-    :meth:`build` proves byte-identity against the exact GMM path on
-    the training sample before the table may serve (``strict=True``
-    raises on any mismatch); groups the sample never visited keep using
-    the exact predictors at assign time, so the table never extrapolates
-    a group it was not built for.  ``to_dict``/``from_dict`` round-trip
-    the (tiny) tables through JSON so a registry can persist the proof
-    alongside the model.
-    """
-
-    LOOKUP_SCHEMA = 1
-
-    def __init__(
-        self,
-        assigner: TierAssigner,
-        upload_cuts: np.ndarray,
-        upload_labels: np.ndarray,
-        download_tables: dict[int, tuple[np.ndarray, np.ndarray]],
-        verified_n: int = 0,
-    ):
-        self.assigner = assigner
-        self._upload_cuts = np.asarray(upload_cuts, dtype=float)
-        self._upload_labels = np.asarray(upload_labels, dtype=np.int64)
-        self._download_tables = {
-            int(gi): (
-                np.asarray(cuts, dtype=float),
-                np.asarray(labels, dtype=np.int64),
-            )
-            for gi, (cuts, labels) in download_tables.items()
-        }
-        self.verified_n = int(verified_n)
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def build(
-        cls,
-        assigner: TierAssigner,
-        downloads,
-        uploads,
-        strict: bool = True,
-    ) -> "QuantizedLookup":
-        """Compile and *prove* a lookup table on a training sample.
-
-        Raises ``ValueError`` when ``strict`` and any training tuple
-        disagrees with the exact path (the table must never silently
-        approximate).  With ``strict=False`` the unproven table is
-        returned with ``verified_n == 0``; callers can still
-        :meth:`verify` later.
-        """
-        downloads, uploads = _validate_batch(downloads, uploads)
-        upload_cuts, upload_labels = _label_cuts(
-            uploads,
-            lambda u: assigner._component_groups[assigner._upload_predict(u)],
-        )
-        exact = assigner.assign(downloads, uploads)
-        tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for gi in np.unique(exact.group_indices):
-            gi = int(gi)
-            rows = exact.group_indices == gi
-            predict = assigner._download_predict.get(gi)
-            if predict is None:
-                label_fn = lambda d, g=gi: assigner._fallback_assign(g, d)
-            else:
-                label_fn = lambda d, g=gi, p=predict: (
-                    assigner._download_tiers[g][p(d)]
-                )
-            tables[gi] = _label_cuts(downloads[rows], label_fn)
-        lookup = cls(assigner, upload_cuts, upload_labels, tables)
-        verified = lookup.verify(downloads, uploads)
-        if strict and not verified:
-            raise ValueError(
-                "quantized lookup table disagrees with the exact GMM "
-                "path on the training sample; refusing to serve it"
-            )
-        lookup.verified_n = int(downloads.size) if verified else 0
-        return lookup
-
-    def verify(self, downloads, uploads) -> bool:
-        """Byte-identity proof: table output == exact path output."""
-        exact = self.assigner.assign(downloads, uploads)
-        table = self.assign(downloads, uploads)
-        return bool(
-            np.array_equal(exact.tiers, table.tiers)
-            and np.array_equal(exact.group_indices, table.group_indices)
-        )
-
-    # ------------------------------------------------------------------
-    def assign(self, downloads, uploads) -> AssignmentBatch:
-        """Assign a batch via the threshold tables.
-
-        Rows landing in upload groups the table was not built for run
-        through the exact predictors (same segment machinery as
-        :meth:`TierAssigner._assign_downloads`).
-        """
-        downloads, uploads = _validate_batch(downloads, uploads)
-        group_indices = self._upload_labels[
-            np.searchsorted(self._upload_cuts, uploads, side="right")
-        ]
-        order = np.argsort(group_indices, kind="stable")
-        sorted_groups = group_indices[order]
-        sorted_downloads = downloads[order]
-        present, starts = np.unique(sorted_groups, return_index=True)
-        bounds = np.append(starts, sorted_groups.size)
-        sorted_tiers = np.empty(downloads.size, dtype=np.int64)
-        n_fallback = 0
-        for gi, lo, hi in zip(present, bounds[:-1], bounds[1:]):
-            gi = int(gi)
-            segment = sorted_downloads[lo:hi]
-            table = self._download_tables.get(gi)
-            if table is not None:
-                cuts, labels = table
-                sorted_tiers[lo:hi] = labels[
-                    np.searchsorted(cuts, segment, side="right")
-                ]
-            elif self.assigner._download_predict.get(gi) is not None:
-                predict = self.assigner._download_predict[gi]
-                sorted_tiers[lo:hi] = self.assigner._download_tiers[gi][
-                    predict(segment)
-                ]
-            else:
-                sorted_tiers[lo:hi] = self.assigner._fallback_assign(
-                    gi, segment
-                )
-            if self.assigner._download_predict.get(gi) is None:
-                n_fallback += segment.size
-        tiers = np.empty(downloads.size, dtype=np.int64)
-        tiers[order] = sorted_tiers
-        obs_metrics.counter("serve.lookup_assigned").inc(
-            int(downloads.size)
-        )
-        quality = get_quality()
-        if quality.enabled:
-            quality.observe_assignments(tiers)
-        return AssignmentBatch(
-            tiers=tiers,
-            group_indices=group_indices,
-            n_fallback=n_fallback,
-        )
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        """JSON-able form of the tables (small enough for an index)."""
-        return {
-            "lookup_schema": self.LOOKUP_SCHEMA,
-            "upload_cuts": self._upload_cuts.tolist(),
-            "upload_labels": self._upload_labels.tolist(),
-            "download_tables": {
-                str(gi): {
-                    "cuts": cuts.tolist(),
-                    "labels": labels.tolist(),
-                }
-                for gi, (cuts, labels) in self._download_tables.items()
-            },
-            "verified_n": self.verified_n,
-        }
-
-    @classmethod
-    def from_dict(
-        cls, assigner: TierAssigner, data: dict
-    ) -> "QuantizedLookup":
-        """Rebuild a persisted table against its (reloaded) assigner."""
-        schema = data.get("lookup_schema")
-        if schema != cls.LOOKUP_SCHEMA:
-            raise ValueError(
-                f"unknown lookup_schema {schema!r}; this build reads "
-                f"{cls.LOOKUP_SCHEMA}"
-            )
-        try:
-            return cls(
-                assigner,
-                upload_cuts=np.asarray(data["upload_cuts"], dtype=float),
-                upload_labels=np.asarray(
-                    data["upload_labels"], dtype=np.int64
-                ),
-                download_tables={
-                    int(gi): (
-                        np.asarray(entry["cuts"], dtype=float),
-                        np.asarray(entry["labels"], dtype=np.int64),
-                    )
-                    for gi, entry in data["download_tables"].items()
-                },
-                verified_n=int(data.get("verified_n", 0)),
-            )
-        except (KeyError, TypeError) as exc:
-            raise ValueError(
-                f"truncated lookup table payload: missing field ({exc})"
-            ) from exc
 
 
 # ---------------------------------------------------------------------------

@@ -9,24 +9,17 @@ fitted :class:`~repro.core.bst.BSTResult` stored on disk:
   (:func:`repro.core.serialize.bst_result_to_dict`), named by the
   SHA-256 of its canonical JSON bytes.  Registering the same fit twice
   writes one object (content addressing makes registration idempotent).
-- ``<root>/objects/<digest>.arrays`` -- an mmap-able binary sidecar of
-  the same fit: a small JSON header (stage parameters, catalog) plus
-  the raw bytes of the big per-row arrays (``group_indices``,
-  ``tiers``).  :meth:`ModelRegistry.load_shared` maps it read-only, so
-  N worker processes serving the same model share one page-cache copy
-  of the arrays and skip the multi-megabyte JSON parse entirely.
 - ``<root>/index.json`` -- the key -> record mapping, where a
   :class:`ModelRecord` carries the digest plus staleness metadata
-  (creation time, training-set size, schema version), the training
-  distribution summary the serving drift check compares against, and
-  -- when the training sample was supplied at registration -- a
-  quantized lookup table proven byte-identical to the exact GMM path
-  on that sample (see :class:`repro.serve.engine.QuantizedLookup`).
+  (creation time, training-set size, schema version) and the training
+  distribution summary the serving drift check compares against.
 
 All writes are atomic (temp file + ``os.replace``), so a crashed
 registration never leaves a half-written object or index.  Loads go
 through a bounded in-process LRU cache; ``serve.registry.*`` counters
-report hit/miss/load traffic.
+report hit/miss/load traffic.  Registries written by older builds keep
+loading: a ``"lookup"`` key in an index entry and ``<digest>.arrays``
+files next to the objects are ignored.
 
 :func:`shard_for` is the one place the ``(city, isp) -> shard`` hash
 lives: the router and the sharded workers must agree on it byte for
@@ -37,7 +30,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import mmap
 import os
 import threading
 import time
@@ -69,11 +61,6 @@ __all__ = ["ModelKey", "ModelRecord", "ModelRegistry", "shard_for"]
 INDEX_SCHEMA = 1
 
 DEFAULT_CACHE_SIZE = 8
-
-# Sidecar format: magic, then an 8-byte little-endian header length,
-# then the JSON header, then raw array bytes at the offsets the header
-# names.  Bump the magic when the layout changes.
-_SHARED_MAGIC = b"RPROARR1"
 
 
 def shard_for(city: str, isp: str, n_shards: int) -> int:
@@ -119,10 +106,6 @@ class ModelRecord:
     train_size: int
     schema_version: int = SCHEMA_VERSION
     training_stats: dict[str, dict[str, float]] = field(default_factory=dict)
-    # Quantized lookup table proven byte-identical on the training
-    # sample at registration (None when no sample was supplied or the
-    # proof failed); see repro.serve.engine.QuantizedLookup.
-    lookup: dict[str, Any] | None = None
 
     def age_s(self, now: float | None = None) -> float:
         """Seconds since registration."""
@@ -145,7 +128,6 @@ class ModelRecord:
             "train_size": self.train_size,
             "schema_version": self.schema_version,
             "training_stats": self.training_stats,
-            "lookup": self.lookup,
         }
 
     @classmethod
@@ -163,7 +145,6 @@ class ModelRecord:
                 train_size=int(row.get("train_size", 0)),
                 schema_version=int(row.get("schema_version", 1)),
                 training_stats=dict(row.get("training_stats", {})),
-                lookup=row.get("lookup"),
             )
         except (KeyError, TypeError) as exc:
             raise ValueError(
@@ -191,49 +172,6 @@ def _atomic_write(path: Path, data: bytes) -> None:
     tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
     tmp.write_bytes(data)
     os.replace(tmp, path)
-
-
-def _pad16(n: int) -> int:
-    """``n`` rounded up to a multiple of 16 (array offset alignment)."""
-    return (n + 15) // 16 * 16
-
-
-def _read_shared(path: Path) -> BSTResult:
-    """Rehydrate a fit from its ``.arrays`` sidecar, zero-copy.
-
-    The big int64 arrays come back as read-only views over a shared
-    read-only ``mmap`` of the file; the mapping stays alive for as long
-    as the views reference it (numpy holds the buffer).
-    """
-    with open(path, "rb") as fh:
-        mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-    if mm[: len(_SHARED_MAGIC)] != _SHARED_MAGIC:
-        raise ValueError(f"corrupt model sidecar {path}: bad magic")
-    header_len = int.from_bytes(
-        mm[len(_SHARED_MAGIC) : len(_SHARED_MAGIC) + 8], "little"
-    )
-    header_start = len(_SHARED_MAGIC) + 8
-    try:
-        header = json.loads(
-            mm[header_start : header_start + header_len].decode("utf-8")
-        )
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ValueError(f"corrupt model sidecar {path}: {exc}") from exc
-    if header.get("shared_schema") != 1:
-        raise ValueError(
-            f"unknown sidecar schema {header.get('shared_schema')!r} in "
-            f"{path}; this build reads 1"
-        )
-    data = dict(header["dict"])
-    offset = _pad16(header_start + header_len)
-    for spec in header["arrays"]:
-        count = int(spec["count"])
-        view = np.frombuffer(
-            mm, dtype=np.dtype(spec["dtype"]), count=count, offset=offset
-        )
-        data[spec["name"]] = view
-        offset = _pad16(offset + view.nbytes)
-    return bst_result_from_dict(data)
 
 
 class ModelRegistry:
@@ -294,18 +232,10 @@ class ModelRegistry:
 
         ``downloads``/``uploads`` (the training sample, optional) feed
         the record's ``training_stats`` -- the baseline the serving
-        drift check compares live traffic against -- and, when both
-        are present, the quantized lookup table: compiled from the fit
-        and *proven byte-identical* to the exact GMM path on the
-        training sample before being persisted (a failed proof
-        registers the model without a table; an unproven table is
-        never stored).  Registration also writes the mmap-able
-        ``.arrays`` sidecar that :meth:`load_shared` serves worker
-        processes from.
+        drift check compares live traffic against.
         """
-        payload = bst_result_to_dict(result)
         blob = json.dumps(
-            payload, sort_keys=True, separators=(",", ":")
+            bst_result_to_dict(result), sort_keys=True, separators=(",", ":")
         ).encode("utf-8")
         digest = hashlib.sha256(blob).hexdigest()
         training_stats: dict[str, dict[str, float]] = {}
@@ -322,7 +252,6 @@ class ModelRegistry:
             train_size=len(result),
             schema_version=SCHEMA_VERSION,
             training_stats=training_stats,
-            lookup=self._build_lookup(key, result, downloads, uploads),
         )
         with span("serve.registry.register", key=key.slug) as sp:
             with self._lock:
@@ -330,7 +259,6 @@ class ModelRegistry:
                 obj_path = self.object_path(digest)
                 if not obj_path.exists():
                     _atomic_write(obj_path, blob)
-                self._write_shared(digest, payload)
                 index = self._read_index()
                 index[key.slug] = record.to_dict()
                 self._write_index(index)
@@ -389,102 +317,6 @@ class ModelRegistry:
             self._cache_put(record.digest, result)
         obs_metrics.counter("serve.registry.loads").inc()
         return result, record
-
-    def load_shared(self, key: ModelKey) -> tuple[BSTResult, ModelRecord]:
-        """Load via the mmap'd ``.arrays`` sidecar (LRU-cached).
-
-        The returned result's big per-row arrays (``group_indices``,
-        ``tiers``) are read-only zero-copy views into a shared
-        read-only mapping of the content-addressed sidecar file, so N
-        worker processes loading the same model share one page-cache
-        copy instead of each parsing the multi-megabyte JSON object.
-        The sidecar is created on first use when registration predates
-        it.  Raises the same errors as :meth:`load`.
-        """
-        record = self.lookup(key)
-        if record is None:
-            obs_metrics.counter("serve.registry.misses").inc()
-            raise KeyError(f"no model registered for {key.slug!r}")
-        with self._lock:
-            cached = self._cache.get(record.digest)
-            if cached is not None:
-                self._cache.move_to_end(record.digest)
-                obs_metrics.counter("serve.registry.hits").inc()
-                return cached, record
-        path = self.shared_path(record.digest)
-        if not path.exists():
-            # Sidecar missing (registered by an older build): build it
-            # from the JSON object once, then fall through to the map.
-            result, _ = self.load(key)
-            self._write_shared(record.digest, bst_result_to_dict(result))
-        with span("serve.registry.load_shared", key=key.slug):
-            result = _read_shared(path)
-        with self._lock:
-            self._cache_put(record.digest, result)
-        obs_metrics.counter("serve.registry.shared_loads").inc()
-        return result, record
-
-    def shared_path(self, digest: str) -> Path:
-        """The mmap sidecar path for a content digest."""
-        return self.objects_dir / f"{digest}.arrays"
-
-    def _write_shared(self, digest: str, payload: dict) -> None:
-        """Write the binary sidecar for a serialized fit (idempotent).
-
-        Content-addressed and deterministic, so concurrent writers
-        race benignly: both produce identical bytes and the atomic
-        rename keeps readers consistent.
-        """
-        path = self.shared_path(digest)
-        if path.exists():
-            return
-        self.objects_dir.mkdir(parents=True, exist_ok=True)
-        head = dict(payload)
-        arrays = [
-            ("group_indices", np.asarray(head.pop("group_indices"),
-                                         dtype="<i8")),
-            ("tiers", np.asarray(head.pop("tiers"), dtype="<i8")),
-        ]
-        header = {
-            "shared_schema": 1,
-            "dict": head,
-            "arrays": [
-                {"name": name, "dtype": "<i8", "count": int(arr.size)}
-                for name, arr in arrays
-            ],
-        }
-        header_bytes = json.dumps(
-            header, sort_keys=True, separators=(",", ":")
-        ).encode("utf-8")
-        buf = bytearray()
-        buf += _SHARED_MAGIC
-        buf += len(header_bytes).to_bytes(8, "little")
-        buf += header_bytes
-        buf += b" " * (_pad16(len(buf)) - len(buf))
-        for _, arr in arrays:
-            buf += arr.tobytes()
-            buf += b"\0" * (_pad16(len(buf)) - len(buf))
-        _atomic_write(path, bytes(buf))
-
-    def _build_lookup(
-        self, key: ModelKey, result: BSTResult, downloads, uploads
-    ) -> dict[str, Any] | None:
-        """Compile + prove the quantized table; None when not possible."""
-        if downloads is None or uploads is None:
-            return None
-        from repro.serve.engine import QuantizedLookup, TierAssigner
-
-        try:
-            table = QuantizedLookup.build(
-                TierAssigner(result), downloads, uploads
-            )
-        except ValueError as exc:
-            log.warning(
-                "quantized lookup not persisted for model",
-                extra=kv(key=key.slug, reason=str(exc)),
-            )
-            return None
-        return table.to_dict()
 
     def records(self) -> list[ModelRecord]:
         """Every registered model's record, sorted by key slug."""

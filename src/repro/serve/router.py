@@ -103,8 +103,6 @@ class RouterConfig:
     request_timeout_s: float = 30.0  # per forwarded request
     start_timeout_s: float = 60.0  # worker bind deadline
     max_body_bytes: int = 8 * 1024 * 1024
-    metrics_window_s: float = 60.0
-    worker_quantized: bool = False  # workers serve via lookup tables
     worker_trace_sample: float = 1.0
 
 
@@ -179,8 +177,6 @@ class WorkerHandle:
             ]
             if self.config.default_city:
                 argv += ["--default-city", self.config.default_city]
-            if self.config.worker_quantized:
-                argv.append("--quantized")
             env = dict(os.environ)
             src_root = str(Path(__file__).resolve().parents[2])
             existing = env.get("PYTHONPATH", "")
@@ -558,9 +554,7 @@ class _RouterService:
             lines.append(
                 f"{rendered} {format(merged[(name, labels)], '.10g')}"
             )
-        own = render_prometheus(
-            self.metrics, window_s=self.config.metrics_window_s
-        )
+        own = render_prometheus(self.metrics)
         return "\n".join(lines) + ("\n" + own if own else "\n")
 
     def models(self) -> list[dict[str, Any]]:

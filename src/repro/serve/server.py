@@ -6,14 +6,18 @@ framework) exposing
 
 - ``POST /assign`` -- assign tiers to a batch of ``<download, upload>``
   tuples against a registered model (selected by city / isp /
-  config_hash; defaults to the configured city's most recent model);
+  config_hash; defaults to the configured city's most recent model).
+  The body is checked once -- paired, finite, non-empty, else 400 --
+  and every request, batched or ``"stream": true``, is answered by the
+  model's exact :class:`~repro.serve.engine.TierAssigner`;
 - ``GET /models``  -- the registry's records (staleness metadata
   included);
 - ``GET /healthz`` -- liveness plus request counters, loaded-model
   count, per-model drift status, and active alerts;
 - ``GET /metrics`` -- Prometheus text exposition of the service's
   dedicated registry (cumulative totals plus windowed rates and
-  latency quantiles; see docs/ALERTING.md);
+  latency quantiles over :data:`repro.obs.metrics.DEFAULT_WINDOW_S`;
+  see docs/ALERTING.md);
 - ``POST /reload`` -- hot-swap models: drop loaded state (optionally
   limited to a ``{"slugs": [...]}`` body) so the next request resolves
   the freshest registration.  The refit scheduler
@@ -73,8 +77,8 @@ from repro.obs.trace import new_trace_id, should_sample, span, use_trace_id
 from repro.serve.engine import (
     BatcherClosedError,
     MicroBatcher,
-    QuantizedLookup,
     TierAssigner,
+    _validate_batch,
 )
 from repro.serve.handler import JsonHandler
 from repro.serve.registry import (
@@ -106,16 +110,11 @@ class ServeConfig:
     max_body_bytes: int = 8 * 1024 * 1024  # request bodies above -> 413
     drift_rel_threshold: float = 0.5  # |obs - train| / train mean
     drift_min_samples: int = 200  # observations before drift applies
-    micro_batch: int = 256
-    micro_max_pending: int = 4096
     trace_sample_rate: float = 1.0  # fraction of requests spanned
-    metrics_window_s: float = 60.0  # window rendered by GET /metrics
     alert_interval_s: float = 1.0  # evaluator period; <= 0 disables
     alert_log: str | None = None  # JSONL transition log path
     alert_rules_path: str | None = None  # JSON rules; None -> defaults
     shard: tuple[int, int] | None = None  # (index, total) (city, isp) shard
-    mmap_models: bool = False  # load via the shared mmap sidecar
-    quantized: bool = False  # serve via verified lookup tables
 
 
 @dataclass
@@ -125,7 +124,6 @@ class _LoadedModel:
     key: ModelKey
     record: ModelRecord
     assigner: TierAssigner
-    lookup: QuantizedLookup | None = None  # verified quantized table
     batcher: MicroBatcher | None = None
     lock: threading.Lock = field(default_factory=threading.Lock)
 
@@ -223,22 +221,9 @@ class AssignmentService:
             loaded = self._loaded.get(key.slug)
         if loaded is not None:
             return loaded
-        if self.config.mmap_models:
-            result, record = self.registry.load_shared(key)
-        else:
-            result, record = self.registry.load(key)
-        assigner = TierAssigner(result)
-        lookup = None
-        if self.config.quantized and record.lookup:
-            try:
-                lookup = QuantizedLookup.from_dict(assigner, record.lookup)
-            except ValueError as exc:
-                log.warning(
-                    "persisted lookup table rejected; serving exact path",
-                    extra=kv(model=key.slug, error=str(exc)),
-                )
+        result, record = self.registry.load(key)
         loaded = _LoadedModel(
-            key=key, record=record, assigner=assigner, lookup=lookup
+            key=key, record=record, assigner=TierAssigner(result)
         )
         with self._lock:
             # Another thread may have raced us; keep the first.
@@ -252,11 +237,7 @@ class AssignmentService:
         """The model's micro-batcher (created on first streaming use)."""
         with loaded.lock:
             if loaded.batcher is None:
-                loaded.batcher = MicroBatcher(
-                    loaded.assigner,
-                    max_batch=self.config.micro_batch,
-                    max_pending=self.config.micro_max_pending,
-                )
+                loaded.batcher = MicroBatcher(loaded.assigner)
             return loaded.batcher
 
     # -- assignment ------------------------------------------------------
@@ -282,6 +263,10 @@ class AssignmentService:
             uploads = np.asarray(uploads, dtype=float)
         except (TypeError, ValueError) as exc:
             raise ValueError(f"non-numeric speed values: {exc}") from exc
+        # One input contract for both branches: the stream branch reads
+        # downloads[0] / uploads[0], so pairing and finiteness must hold
+        # before it is taken.
+        downloads, uploads = _validate_batch(downloads, uploads)
         loaded = self.resolve(
             city=payload.get("city"),
             isp=payload.get("isp"),
@@ -309,8 +294,7 @@ class AssignmentService:
             groups = [group]
             n_fallback = 0
         else:
-            engine = loaded.lookup or loaded.assigner
-            batch = engine.assign(downloads, uploads)
+            batch = loaded.assigner.assign(downloads, uploads)
             tiers = batch.tiers.tolist()
             groups = batch.group_indices.tolist()
             n_fallback = batch.n_fallback
@@ -615,10 +599,7 @@ class _Handler(JsonHandler):
         elif path == "/models":
             self._send_json(200, {"models": service.models()})
         elif path == "/metrics":
-            text = render_prometheus(
-                service.metrics,
-                window_s=service.config.metrics_window_s,
-            )
+            text = render_prometheus(service.metrics)
             self._send_body(
                 200,
                 text.encode("utf-8"),

@@ -8,11 +8,10 @@
 endpoint and parses the ``serving on http://host:port`` line each
 worker prints once its ephemeral port is bound.
 
-Workers load models through the registry's mmap'd ``.arrays`` sidecar
-by default (``--no-mmap`` opts out), so N processes serving the same
-model share one page-cache copy of the big per-row arrays instead of
-each parsing the JSON object.  ``--quantized`` serves through the
-registered byte-identity-proven lookup tables where available.
+Each worker loads the models of its shard from the registry's JSON
+objects (:meth:`~repro.serve.registry.ModelRegistry.load`) and assigns
+with the exact :class:`~repro.serve.engine.TierAssigner`, the same
+path as the single-process server.
 
 A worker is a complete server: it keeps its own micro-batchers, drift
 monitor, and always-on metrics registry, and shuts down gracefully on
@@ -56,16 +55,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--alert-log", default=None, help="JSONL alert transition log"
     )
-    parser.add_argument(
-        "--quantized",
-        action="store_true",
-        help="serve via registered byte-identity-proven lookup tables",
-    )
-    parser.add_argument(
-        "--no-mmap",
-        action="store_true",
-        help="load models from JSON objects instead of the mmap sidecar",
-    )
     args = parser.parse_args(argv)
     if not 0 <= args.shard < args.shards:
         parser.error(
@@ -79,8 +68,6 @@ def main(argv: list[str] | None = None) -> int:
         alert_interval_s=args.alert_interval,
         alert_log=args.alert_log,
         shard=(args.shard, args.shards),
-        mmap_models=not args.no_mmap,
-        quantized=args.quantized,
     )
     server = build_server(ModelRegistry(args.registry), config)
     host, port = server.server_address[:2]

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.core.bst import BSTModel
 from repro.core.config import BSTConfig
 from repro.serve.registry import ModelKey, ModelRecord, ModelRegistry
 
@@ -160,74 +161,99 @@ def test_no_tmp_files_left_behind(registry, fitted_a, catalog_a):
 
 
 # ---------------------------------------------------------------------------
-# mmap sidecar + quantized lookup persistence + shard hashing
+# Registries written by older builds + shard hashing
 # ---------------------------------------------------------------------------
-def _speeds(table):
-    return (
-        np.asarray(table["download_mbps"], dtype=float),
-        np.asarray(table["upload_mbps"], dtype=float),
+def _write_old_layout(registry, key, result, downloads, uploads):
+    """Register ``result``, then rewrite it the way older builds did.
+
+    Older builds stored a threshold table under ``"lookup"`` in every
+    index entry and wrote a binary ``<digest>.arrays`` file next to each
+    object.  Both are planted *poisoned* here -- a table that sends
+    every tuple to upload group 0 / the first tier, and a file of
+    garbage bytes -- so any code path that still read them would
+    change the answers or fail.
+    """
+    record = registry.register(key, result, downloads, uploads)
+    index = json.loads(registry.index_path.read_text())
+    index["entries"][key.slug]["lookup"] = {
+        "lookup_schema": 1,
+        "upload_cuts": [],
+        "upload_labels": [0],
+        "download_tables": {"0": {"cuts": [], "labels": [0]}},
+        "verified_n": int(downloads.size),
+    }
+    registry.index_path.write_text(json.dumps(index, indent=2))
+    arrays = registry.objects_dir / f"{record.digest}.arrays"
+    arrays.write_bytes(b"\xff" * 256)
+    registry.evict_cache()
+    return record
+
+
+def test_old_registry_layout_serves_exact_answers(
+    tmp_path, fitted_a, catalog_a, ookla_a, fresh_sample
+):
+    from repro.serve.engine import TierAssigner
+    from repro.serve.server import AssignmentService, ServeConfig
+
+    root = tmp_path / "models"
+    downs = np.asarray(ookla_a["download_mbps"], dtype=float)
+    ups = np.asarray(ookla_a["upload_mbps"], dtype=float)
+    key = ModelRegistry(root).key_for("A", catalog_a)
+    old = _write_old_layout(ModelRegistry(root), key, fitted_a, downs, ups)
+
+    # A fresh process's view: records and objects load, lookup ignored.
+    registry = ModelRegistry(root)
+    record = registry.lookup(key)
+    assert record.digest == old.digest
+    assert "lookup" not in record.to_dict()
+    loaded, _ = registry.load(key)
+    assert np.array_equal(loaded.tiers, fitted_a.tiers)
+
+    fresh_downs, fresh_ups = fresh_sample
+    exact = TierAssigner(fitted_a).assign(fresh_downs, fresh_ups)
+    service = AssignmentService(registry, ServeConfig(alert_interval_s=0))
+    try:
+        assert service.resolve(city="A").key == key
+        out = service.assign_payload(
+            {"downloads": fresh_downs.tolist(), "uploads": fresh_ups.tolist()}
+        )
+        streamed = service.assign_payload(
+            {"downloads": [110.0], "uploads": [5.5], "stream": True}
+        )
+    finally:
+        service.close()
+    assert json.dumps(out["tiers"]) == json.dumps(exact.tiers.tolist())
+    assert json.dumps(out["group_indices"]) == json.dumps(
+        exact.group_indices.tolist()
+    )
+    assert (streamed["tiers"][0], streamed["group_indices"][0]) == (
+        TierAssigner(fitted_a).assign_one(110.0, 5.5)
     )
 
 
-def test_register_writes_mmap_sidecar(registry, fitted_a, catalog_a):
-    record = registry.register(registry.key_for("A", catalog_a), fitted_a)
-    sidecar = registry.shared_path(record.digest)
-    assert sidecar.exists()
-    assert sidecar.read_bytes().startswith(b"RPROARR1")
-
-
-def test_load_shared_equals_load(registry, fitted_a, catalog_a):
-    key = registry.key_for("A", catalog_a)
-    registry.register(key, fitted_a)
-    registry.evict_cache()
-    shared, record = registry.load_shared(key)
-    assert np.array_equal(shared.tiers, fitted_a.tiers)
-    assert np.array_equal(shared.group_indices, fitted_a.group_indices)
-    # The big arrays are views into the mapped file, not copies.
-    assert not shared.tiers.flags.owndata
-    assert not shared.tiers.flags.writeable
-
-
-def test_load_shared_backfills_missing_sidecar(
-    registry, fitted_a, catalog_a
+def test_register_into_old_registry_writes_current_layout(
+    tmp_path, fitted_a, catalog_a, ookla_a
 ):
-    key = registry.key_for("A", catalog_a)
-    record = registry.register(key, fitted_a)
-    registry.shared_path(record.digest).unlink()
+    root = tmp_path / "models"
+    downs = np.asarray(ookla_a["download_mbps"], dtype=float)
+    ups = np.asarray(ookla_a["upload_mbps"], dtype=float)
+    registry = ModelRegistry(root)
+    old_key = registry.key_for("A", catalog_a)
+    _write_old_layout(registry, old_key, fitted_a, downs, ups)
+    before = {p.name for p in registry.objects_dir.iterdir()}
+
+    refit = BSTModel(catalog_a).fit(downs[:1500], ups[:1500])
+    new_key = registry.key_for("A", catalog_a, BSTConfig(kde_method="binned"))
+    record = registry.register(new_key, refit, downs[:1500], ups[:1500])
+
+    added = {p.name for p in registry.objects_dir.iterdir()} - before
+    assert added == {f"{record.digest}.json"}
+    entries = json.loads(registry.index_path.read_text())["entries"]
+    assert "lookup" not in entries[new_key.slug]
+    # The older entry still loads next to the new one.
     registry.evict_cache()
-    shared, _ = registry.load_shared(key)
-    assert np.array_equal(shared.tiers, fitted_a.tiers)
-    assert registry.shared_path(record.digest).exists()
-
-
-def test_load_shared_rejects_corrupt_sidecar(
-    registry, fitted_a, catalog_a
-):
-    key = registry.key_for("A", catalog_a)
-    record = registry.register(key, fitted_a)
-    registry.shared_path(record.digest).write_bytes(b"NOTMAGIC" + b"x" * 64)
-    registry.evict_cache()
-    with pytest.raises(ValueError, match="magic"):
-        registry.load_shared(key)
-
-
-def test_lookup_table_persisted_with_training_sample(
-    registry, fitted_a, catalog_a, ookla_a
-):
-    downs, ups = _speeds(ookla_a)
-    key = registry.key_for("A", catalog_a)
-    record = registry.register(key, fitted_a, downloads=downs, uploads=ups)
-    assert record.lookup is not None
-    assert record.lookup["verified_n"] == downs.size
-    # The table survives the index round trip.
-    reloaded = registry.lookup(key)
-    assert reloaded.lookup == record.lookup
-    # Without a training sample there is nothing to prove against.
-    bare = registry.register(
-        registry.key_for("A", catalog_a, BSTConfig(kde_method="binned")),
-        fitted_a,
-    )
-    assert bare.lookup is None
+    loaded, _ = registry.load(old_key)
+    assert np.array_equal(loaded.tiers, fitted_a.tiers)
 
 
 def test_shard_for_is_deterministic_and_total():

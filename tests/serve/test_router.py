@@ -308,6 +308,18 @@ def test_non_integer_content_length_is_structured_400(
     assert body["error"]["trace_id"]
 
 
+@pytest.mark.parametrize(
+    "uploads", [[5.0, 6.0], []], ids=["two_uploads", "no_uploads"]
+)
+def test_unpaired_stream_body_is_structured_400(fleet, uploads):
+    client, server, _ = fleet
+    with pytest.raises(ServeError) as excinfo:
+        client.assign([100.0], uploads, city="A", stream=True)
+    assert excinfo.value.status == 400
+    assert "pair one-to-one" in str(excinfo.value)
+    assert excinfo.value.trace_id
+
+
 def test_negative_content_length_on_reload_is_400(fleet, raw_post):
     client, server, _ = fleet
     reloads = _counter(server, "serve.router.reloads")

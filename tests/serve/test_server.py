@@ -127,6 +127,26 @@ def test_bad_payloads_are_400(served):
     assert err.value.status == 400
 
 
+@pytest.mark.parametrize(
+    "uploads", [[5.0, 6.0], []], ids=["two_uploads", "no_uploads"]
+)
+def test_unpaired_stream_body_is_structured_400(served, uploads):
+    client, server = served
+    service = server.service
+    slug = service.resolve(city="A").key.slug
+    observed = service.quality.field(f"serve.{slug}.upload_mbps")
+    n_observed = observed.snapshot().count
+    errors_5xx = service.metrics.counter("serve.errors_5xx").value
+    with pytest.raises(ServeError) as err:
+        client.assign([100.0], uploads, stream=True)
+    assert err.value.status == 400
+    assert "pair one-to-one" in str(err.value)
+    assert err.value.trace_id
+    assert service.metrics.counter("serve.errors_5xx").value == errors_5xx
+    # A rejected body never reaches the drift monitor.
+    assert observed.snapshot().count == n_observed
+
+
 def test_malformed_json_is_400(served):
     client, _ = served
     request = urllib.request.Request(
