@@ -277,8 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--refit", action="store_true",
-        help="attach the online lifecycle: tap served traffic into a "
-             "drift monitor and hot-swap refitted models via /reload "
+        help="attach the online lifecycle: refit models the drift "
+             "monitor flags and hot-swap them via /reload "
              "(see docs/STREAMING.md)",
     )
     serve.add_argument(

@@ -9,12 +9,13 @@ watches the data as it flows:
 - :class:`FieldMonitor` — per-field streaming counters (NaN / negative /
   zero / implausibly-large values), moment accumulators (mean/std via
   running sums), min/max, and a bounded deterministic reservoir that
-  yields p50/p95/p99 and a tail ratio without retaining the stream.
-- :class:`QualityMonitor` — a session of field monitors plus
-  tier-assignment health: the entropy of the assigned-tier distribution
-  (a collapsed fit assigns everything to one tier → entropy ~0) and the
-  unmapped-group rate (catalog upload groups no mixture component
-  mapped to).
+  yields p50/p95/p99 and a tail ratio without retaining the stream
+  (also the quantile sketch of :mod:`repro.stream.monitor`).
+- :class:`QualityMonitor` — one pipeline run's session of field
+  monitors plus tier-assignment health: the entropy of the
+  assigned-tier distribution (a collapsed fit assigns everything to one
+  tier → entropy ~0) and the unmapped-group rate (catalog upload groups
+  no mixture component mapped to).
 - :class:`QualityReport` — the finished snapshot: renderable text,
   JSON-able dict, and a ``publish_metrics`` hook that surfaces the
   headline rates as ``quality.*`` gauges in the active metrics registry.
@@ -285,9 +286,6 @@ class _NullQualityMonitor:
     def field(self, name: str, outlier_above: float = DEFAULT_OUTLIER_ABOVE):
         return _NULL_FIELD
 
-    def drop_fields(self, prefix: str) -> int:
-        return 0
-
     def observe_assignments(self, tiers: Any) -> None:
         pass
 
@@ -461,22 +459,6 @@ class QualityMonitor:
                     name, outlier_above=outlier_above
                 )
             return mon
-
-    def drop_fields(self, prefix: str) -> int:
-        """Forget every field monitor whose name starts with ``prefix``.
-
-        Serving uses this on model hot-swap: the per-model drift fields
-        must restart from scratch (``warming_up``) against the new
-        model's training stats instead of carrying the drifted history.
-        Returns the number of monitors dropped.
-        """
-        with self._lock:
-            victims = [
-                name for name in self._fields if name.startswith(prefix)
-            ]
-            for name in victims:
-                del self._fields[name]
-            return len(victims)
 
     def observe_assignments(self, tiers: Any) -> None:
         """Record a batch of per-measurement tier assignments."""

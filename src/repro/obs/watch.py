@@ -125,8 +125,10 @@ def render_snapshot(snap: dict[str, Any]) -> str:
     ]
     stream = snap.get("stream")
     if stream is not None:
-        # The panel appears only when the server actually emits
-        # stream.* metrics (repro serve --refit / repro stream run).
+        # The panel appears once the server emits stream.* metrics:
+        # any server that has served /assign traffic (its drift monitor
+        # is a StreamMonitor) and repro stream run; the refit rows
+        # stay "-" without --refit.
         lines.append(
             f"stream     events={_num(stream['events_total'])} "
             f"rate={_num(stream['events_rate'], '/s')} "

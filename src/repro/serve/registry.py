@@ -35,7 +35,7 @@ import threading
 import time
 import zlib
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
@@ -213,11 +213,15 @@ class ModelRegistry:
         catalog: PlanCatalog,
         config: BSTConfig | None = None,
     ) -> ModelKey:
-        """The registry key for a (city, catalog, config) combination."""
+        """The registry key for a (city, catalog, config) combination.
+
+        ``jobs`` never changes a fit, so it is fingerprinted at its default.
+        """
+        config = replace(config or BSTConfig(), jobs=BSTConfig.jobs)
         return ModelKey(
             city=str(city),
             isp=catalog.isp_name,
-            config_hash=config_fingerprint(config or BSTConfig()),
+            config_hash=config_fingerprint(config),
         )
 
     # ------------------------------------------------------------------

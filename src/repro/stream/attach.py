@@ -1,7 +1,7 @@
 """Attach the online lifecycle to a live serving process.
 
 ``repro serve --refit`` calls :func:`attach_refit` after building the
-server: it taps successfully-assigned traffic into a
+server: it feeds successfully-assigned traffic into a ``window_s``
 :class:`~repro.stream.monitor.StreamMonitor` (so the windowed stats see
 exactly what the models see), wires the scheduler's hot-swap callback
 to the server's ``/reload`` machinery, and starts the
@@ -11,9 +11,9 @@ handed out).
 
 Works against both server shapes:
 
-- a single-process :class:`~repro.serve.server.ServeServer` -- the tap
-  feeds from ``AssignmentService._observe`` and the swap calls
-  ``AssignmentService.reload`` in-process;
+- a single-process :class:`~repro.serve.server.ServeServer` -- the
+  monitor *becomes* ``AssignmentService.monitor``, the service's one
+  drift detector, and the swap calls ``AssignmentService.reload``;
 - a :class:`~repro.serve.router.RouterServer` -- the tap feeds from the
   router's forward path and the swap fans ``POST /reload`` out to the
   owning worker shards.
@@ -52,13 +52,14 @@ def attach_refit(
     if hasattr(server, "service"):  # single-process ServeServer
         service = server.service
         registry = service.registry
-        monitor = StreamMonitor(
+        monitor = service.monitor = StreamMonitor(
             registry=registry,
             metrics=service.metrics,
             clock=clock,
             window_s=window_s,
+            drift_rel_threshold=service.config.drift_rel_threshold,
+            min_samples=service.config.drift_min_samples,
         )
-        service.stream_tap = monitor.observe_arrays
         reload_cb = service.reload
         mode = "in-process"
     elif hasattr(server, "router"):  # sharded RouterServer

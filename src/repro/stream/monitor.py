@@ -20,10 +20,10 @@ Windows are measured in *stream time* (event timestamps), not wall
 time, so a simulated run is deterministic; the injected ``clock`` is
 used only for the ``stream.lag_s`` gauge (how far monitoring trails the
 stream).  Drift verdicts compare the windowed mean against the serving
-registry's ``training_stats`` and are shaped exactly like
-``AssignmentService.drift_status()`` output, so the same
-``model_drift`` alert rule (:func:`repro.obs.alerts.default_serve_rules`)
-consumes either source.
+registry's ``training_stats``.  This is the serving tier's one drift
+detector: ``AssignmentService.drift_status()`` -- behind ``/healthz``
+and the ``model_drift`` alert -- returns the verdicts of the service's
+monitor, which ``repro serve --refit``'s scheduler polls too.
 """
 
 from __future__ import annotations
@@ -249,7 +249,7 @@ class StreamMonitor:
     drift_rel_threshold / min_samples:
         A direction is drifted when the windowed mean deviates from the
         training mean by more than the relative threshold, after at
-        least ``min_samples`` windowed events (mirrors
+        least ``min_samples`` windowed events (the serving path passes
         ``ServeConfig.drift_rel_threshold`` / ``drift_min_samples``).
     tier_shift_threshold:
         Absolute change in upper-half-tier share (windowed vs long-run)
@@ -318,7 +318,7 @@ class StreamMonitor:
         hours: np.ndarray | None = None,
         t_s: float | None = None,
     ) -> None:
-        """Entry point for serve-path taps (no StreamBatch at hand).
+        """Entry point for served traffic (no StreamBatch at hand).
 
         ``t_s`` defaults to the injected clock, so live serving traffic
         windows by arrival time while simulated batches window by their
@@ -402,13 +402,14 @@ class StreamMonitor:
         return found
 
     def rebaseline(self, city: str, isp: str) -> None:
-        """Drop the cached baseline (call after a refit registers)."""
+        """Drop the cached baseline (the window keeps its traffic)."""
         with self._lock:
             self._baselines.pop((city, isp), None)
 
     # -- verdicts --------------------------------------------------------
     def verdicts(self) -> list[dict[str, Any]]:
-        """Rolling drift verdicts, shaped like ``drift_status()`` output.
+        """Rolling drift verdicts of each group with traffic against
+        the newest registration for its ``(city, isp)``.
 
         Poll-stable: the ``stream.drift_flags`` counter moves only on a
         group's not-drifted -> drifted transition.

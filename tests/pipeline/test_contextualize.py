@@ -167,6 +167,31 @@ class TestReusePrefittedModel:
         assert record.train_size == len(ctx)
         assert "download_mbps" in record.training_stats
 
+    def test_registry_hit_ignores_jobs(
+        self, tmp_path, ookla_a, catalog_a, ookla_ctx_a
+    ):
+        """``jobs`` only parallelises the fit, so a model registered under
+        the default config serves a ``BSTConfig(jobs=2)`` request."""
+        from repro.core.config import BSTConfig
+        from repro.serve.registry import ModelRegistry
+
+        registry = ModelRegistry(tmp_path / "models")
+        registry.register(
+            registry.key_for("A", catalog_a), ookla_ctx_a.bst_result
+        )
+        ctx = contextualize(
+            ookla_a,
+            catalog_a,
+            config=BSTConfig(jobs=2),
+            registry=registry,
+            city="A",
+        )
+        assert len(registry.records()) == 1  # a hit: nothing refit
+        assert np.array_equal(
+            np.asarray(ctx.table["bst_tier"]),
+            np.asarray(ookla_ctx_a.table["bst_tier"]),
+        )
+
     def test_registry_hit_is_byte_identical(
         self, tmp_path, ookla_a, catalog_a
     ):

@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.bst import BSTModel
 from repro.core.config import BSTConfig
+from repro.obs.runs import config_fingerprint
 from repro.serve.registry import ModelKey, ModelRecord, ModelRegistry
 
 
@@ -32,6 +33,21 @@ def test_key_includes_config_fingerprint(registry, catalog_a):
     assert default.config_hash != binned.config_hash
     assert default.slug != binned.slug
     assert ModelKey.from_slug(default.slug) == default
+
+
+def test_key_ignores_jobs(registry, catalog_a):
+    # jobs parallelises the fit without changing it: same key, and the
+    # default config's hash is the one registries already hold.
+    default = registry.key_for("A", catalog_a)
+    assert registry.key_for("A", catalog_a, BSTConfig(jobs=2)) == default
+    assert default.config_hash == config_fingerprint(BSTConfig())
+    binned = registry.key_for("A", catalog_a, BSTConfig(kde_method="binned"))
+    assert (
+        registry.key_for(
+            "A", catalog_a, BSTConfig(kde_method="binned", jobs=4)
+        )
+        == binned
+    )
 
 
 def test_registration_is_content_addressed(registry, fitted_a, catalog_a):

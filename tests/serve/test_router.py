@@ -141,6 +141,19 @@ def test_metrics_aggregate_across_workers(fleet):
     assert families["serve_router_workers_alive"][0][1] == N_WORKERS
 
 
+def test_router_own_family_replaces_workers_copies(fleet):
+    # Every worker's drift monitor emits stream.*; a --refit router
+    # monitor emits the same names, and the exposition names each once.
+    client, server, models = fleet
+    _, downs, ups = models["A"]
+    client.assign(downs[:3].tolist(), ups[:3].tolist(), city="A")
+    workers_only = parse_prometheus_text(client.metrics_text())
+    assert workers_only["stream_events_total"][0][1] >= 3
+    server.router.metrics.counter("stream.events").inc(7)
+    families = parse_prometheus_text(client.metrics_text())
+    assert families["stream_events_total"] == [({}, 7.0)]
+
+
 def test_error_relay_keeps_structured_body(fleet):
     client, _, _ = fleet
     with pytest.raises(ServeError) as excinfo:

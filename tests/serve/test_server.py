@@ -111,7 +111,7 @@ def test_drift_flags_shifted_traffic(served):
     assert drifted, "shifted traffic not flagged as drift"
     directions = drifted[0]["directions"]
     assert directions["download_mbps"]["status"] == "drifted"
-    assert directions["download_mbps"]["rel_deviation"] > 0.5
+    assert directions["download_mbps"]["relative_delta"] > 0.5
 
 
 def test_bad_payloads_are_400(served):
@@ -133,9 +133,7 @@ def test_bad_payloads_are_400(served):
 def test_unpaired_stream_body_is_structured_400(served, uploads):
     client, server = served
     service = server.service
-    slug = service.resolve(city="A").key.slug
-    observed = service.quality.field(f"serve.{slug}.upload_mbps")
-    n_observed = observed.snapshot().count
+    n_observed = service.monitor.n_events
     errors_5xx = service.metrics.counter("serve.errors_5xx").value
     with pytest.raises(ServeError) as err:
         client.assign([100.0], uploads, stream=True)
@@ -144,7 +142,7 @@ def test_unpaired_stream_body_is_structured_400(served, uploads):
     assert err.value.trace_id
     assert service.metrics.counter("serve.errors_5xx").value == errors_5xx
     # A rejected body never reaches the drift monitor.
-    assert observed.snapshot().count == n_observed
+    assert service.monitor.n_events == n_observed
 
 
 def test_malformed_json_is_400(served):
