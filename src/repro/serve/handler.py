@@ -6,8 +6,13 @@ JSON errors, reading a request body against ``max_body_bytes``, and
 parsing the ``POST /reload`` body.  Subclasses supply the hooks:
 ``_config`` (an object with ``request_timeout_s`` and
 ``max_body_bytes``), ``_count_error`` (the service's error counter),
+``_observe`` (the service's status and latency instruments),
 ``_handle`` (tracing and accounting around one route) and the
 ``_route_get`` / ``_route_post`` routes.
+
+A request is observed just before its response leaves (see
+:meth:`JsonHandler._account`): a client that has read its response and
+then scrapes ``/metrics`` finds that request already counted.
 
 One write per response: headers and body leave in a single
 ``wfile.write``.  Written separately on a keep-alive connection, the
@@ -22,6 +27,7 @@ from __future__ import annotations
 
 import json
 import re
+import time
 from http.server import BaseHTTPRequestHandler
 from typing import Any
 
@@ -42,6 +48,8 @@ class JsonHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     _trace_id = ""
     _status = 500
+    _start = 0.0
+    _accounted = True
 
     # -- hooks -----------------------------------------------------------
     def _config(self) -> Any:
@@ -51,6 +59,23 @@ class JsonHandler(BaseHTTPRequestHandler):
     def _count_error(self) -> None:
         """Count one error response in the service's instruments."""
         raise NotImplementedError
+
+    def _observe(self, status: int, elapsed_s: float) -> None:
+        """Feed one answered request into the service's instruments."""
+        raise NotImplementedError
+
+    def _begin(self) -> None:
+        """Start the clock of one request; ``_handle`` calls it first."""
+        self._status = 500  # routes overwrite on every sent response
+        self._start = time.perf_counter()
+        self._accounted = False
+
+    def _account(self) -> None:
+        """Observe this request once: before its response is written,
+        or from ``_handle``'s ``finally`` when none was."""
+        if not self._accounted:
+            self._accounted = True
+            self._observe(self._status, time.perf_counter() - self._start)
 
     def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
         self._handle(self._route_get)
@@ -86,6 +111,7 @@ class JsonHandler(BaseHTTPRequestHandler):
         # end_headers() would flush the headers on their own; append
         # the terminator and the body to the buffer and flush once.
         self._headers_buffer.extend((b"\r\n", body))
+        self._account()
         self.flush_headers()
 
     def _send_json(
